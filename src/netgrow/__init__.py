@@ -12,6 +12,7 @@ from .autodiff import (
     gradient_finite_diff,
     gradient_forward,
     risk_and_gradient,
+    risk_objective,
 )
 from .bench import (
     BenchResult,
@@ -21,9 +22,11 @@ from .bench import (
     ResultsTable,
     StandardSolver,
     cell_seed,
+    load_results_tsv,
     performance_profile,
     performance_ratio,
     run_benchmark,
+    save_results_tsv,
     summary_stats,
 )
 from .data import Dataset, ParseError, load_delimited, make_synthetic, save_delimited, standardize
@@ -80,6 +83,7 @@ from .stationarity import (
     count_manifold_families,
     escape_rate,
     find_stationary_point,
+    risk_gap_report,
     transfer_safe_spec,
     verify_loss_invariance,
     verify_stationarity_transfer,

@@ -19,12 +19,14 @@ from .net_core import (
     ActivationFunction,
     LossFunction,
     ParamVector,
+    Topology,
     empirical_risk,
 )
 
 __all__ = [
     "GradientVector",
     "risk_and_gradient",
+    "risk_objective",
     "gradient_forward",
     "gradient_finite_diff",
     "grad_norm_inf",
@@ -98,6 +100,20 @@ def risk_and_gradient(
 
     flat = ParamVector.from_layer_arrays(topology, grads).flat
     return risk, flat
+
+
+def risk_objective(
+    topology: Topology,
+    data,
+    loss: LossFunction = MSE,
+    activation: ActivationFunction = TANH,
+):
+    """The optimizer's objective: flat parameters -> (risk, flat gradient)."""
+
+    def objective(flat: np.ndarray):
+        return risk_and_gradient(ParamVector(topology, flat), data, loss, activation)
+
+    return objective
 
 
 def gradient_forward(

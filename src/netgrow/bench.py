@@ -5,13 +5,15 @@ epoch budget; smaller budgets are snapshots of the same run, so the per-cell
 seeds and iterates are shared across budgets by construction. Replicas are
 treated as distinct problems when profiling. The profile for a solver at
 factor ``alpha`` is the fraction of problems on which its final risk is
-within ``alpha`` times the best final risk of any solver.
+within ``alpha`` times the best final risk of any solver. Tables are stored
+as ``results_b<B>.tsv`` files with one line per cell.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +29,8 @@ __all__ = [
     "RatioMatrix",
     "ProfileCurve",
     "BenchResult",
+    "save_results_tsv",
+    "load_results_tsv",
     "cell_seed",
     "run_benchmark",
     "performance_ratio",
@@ -94,6 +98,62 @@ class ResultsTable:
             raise ValueError("risks must be nonnegative (+inf marks a failed cell)")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+
+_TSV_COLUMNS = ("problem", "solver", "replica", "budget", "final_risk")
+
+
+def save_results_tsv(table: ResultsTable, path) -> None:
+    """Write one line per cell; row ids ``problem#replica`` split into two columns."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\t".join(_TSV_COLUMNS) + "\n")
+        for row, row_id in enumerate(table.problem_ids):
+            problem, replica = row_id.rsplit("#", 1)
+            for col, solver_id in enumerate(table.solver_ids):
+                handle.write(
+                    f"{problem}\t{solver_id}\t{replica}\t{table.budget}\t"
+                    f"{float(table.values[row, col])!r}\n"
+                )
+
+
+def load_results_tsv(path) -> ResultsTable:
+    """Read a table written by :func:`save_results_tsv`; missing cells become +inf.
+
+    Malformed lines, repeated cells and mixed budgets are rejected with a
+    ``ValueError`` that names ``path:line``.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if len(lines) < 2:
+        raise ValueError(f"{path}: empty results table")
+    header = tuple(lines[0].split("\t"))
+    if header != _TSV_COLUMNS:
+        raise ValueError(f"{path}:1: expected columns {list(_TSV_COLUMNS)}, found {list(header)}")
+    cells: dict[str, dict[str, float]] = {}
+    solvers: list[str] = []
+    budget = None
+    for number, line in enumerate(lines[1:], start=2):
+        where = f"{path}:{number}"
+        fields = line.split("\t")
+        if len(fields) != len(_TSV_COLUMNS):
+            raise ValueError(f"{where}: expected {len(_TSV_COLUMNS)} fields, found {len(fields)}")
+        problem, solver, replica, cell_budget, value = fields
+        try:
+            cell_budget, risk = int(cell_budget), float(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not risk >= 0.0:
+            raise ValueError(f"{where}: final_risk must be nonnegative or inf, got {value!r}")
+        if budget is not None and cell_budget != budget:
+            raise ValueError(f"{where}: budget {cell_budget} in a table of budget {budget}")
+        budget = cell_budget
+        row = cells.setdefault(f"{problem}#{replica}", {})
+        if solver in row:
+            raise ValueError(f"{where}: repeated cell ({problem}, {solver}, {replica})")
+        row[solver] = risk
+        if solver not in solvers:
+            solvers.append(solver)
+    values = [[row.get(solver, np.inf) for solver in solvers] for row in cells.values()]
+    return ResultsTable(np.array(values), tuple(cells), tuple(solvers), budget)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,20 +12,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import model_io
-from .autodiff import risk_and_gradient
+from .autodiff import risk_and_gradient  # noqa: F401  (perfbench/test_perfbench.py looks it up here)
 from .bench import (
     IncrementalSolver,
-    ResultsTable,
     StandardSolver,
+    load_results_tsv,
     performance_profile,
     performance_ratio,
     run_benchmark,
+    save_results_tsv,
     summary_stats,
 )
 from .data import Dataset, ParseError, load_delimited, make_synthetic, standardize
@@ -42,6 +45,7 @@ from .stationarity import (
     NonConvergenceError,
     escape_rate,
     find_stationary_point,
+    risk_gap_report,
     transfer_safe_spec,
     verify_loss_invariance,
     verify_stationarity_transfer,
@@ -68,17 +72,22 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _echo_config(out_dir: Path, args: argparse.Namespace) -> None:
+def _write_jsonl(path: Path, records) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True))
+            handle.write("\n")
+
+
+def _out_dir(args: argparse.Namespace) -> Path:
+    """Create ``--out`` and echo the effective configuration into it."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     payload = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
     for key, value in payload.items():
         if isinstance(value, Path):
             payload[key] = str(value)
-    _write_json(out_dir / "config.json", payload)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "config.json", payload)
     return out
 
 
@@ -182,17 +191,12 @@ def _parse_target_cols(value):
     return value
 
 
-def _write_metrics(path: Path, run, problem=None, replica=None, solver=None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in run.epoch_records():
-            if problem is not None:
-                record = {"problem": problem, "replica": replica, "solver": solver, **record}
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-
-
-def _run_summary(run) -> dict:
-    return {
+def _save_run(out: Path, run) -> None:
+    """Per-epoch metrics, the final model (binary and text) and a run summary."""
+    _write_jsonl(out / "metrics.jsonl", run.epoch_records())
+    model_io.save_model(run.theta_final, out / "model.bin")
+    model_io.save_model_text(run.theta_final, out / "model.txt")
+    _write_json(out / "summary.json", {
         "solver": run.solver,
         "cumulative_epochs": run.cumulative_epochs,
         "final_risk": run.final_risk,
@@ -207,18 +211,14 @@ def _run_summary(run) -> dict:
             }
             for stage in run.stages
         ],
-    }
+    })
 
 
 def cmd_train(args) -> int:
     data = _resolve_dataset(args)
     out = _out_dir(args)
-    _echo_config(out, args)
     run = standard_train(data, args.hidden, tol=args.tol, maxit=args.maxit, seed=args.seed)
-    _write_metrics(out / "metrics.jsonl", run)
-    model_io.save_model(run.theta_final, out / "model.bin")
-    model_io.save_model_text(run.theta_final, out / "model.txt")
-    _write_json(out / "summary.json", _run_summary(run))
+    _save_run(out, run)
     print(f"final risk {run.final_risk!r} after {run.cumulative_epochs} epochs")
     return 0
 
@@ -245,12 +245,8 @@ def cmd_ita(args) -> int:
         total_epoch_budget=args.budget,
     )
     out = _out_dir(args)
-    _echo_config(out, args)
     run = ita_train(data, cfg)
-    _write_metrics(out / "metrics.jsonl", run)
-    model_io.save_model(run.theta_final, out / "model.bin")
-    model_io.save_model_text(run.theta_final, out / "model.txt")
-    _write_json(out / "summary.json", _run_summary(run))
+    _save_run(out, run)
     widths = ",".join(str(s.width) for s in run.stages)
     print(f"stage widths {widths}; final risk {run.final_risk!r} "
           f"after {run.cumulative_epochs} epochs")
@@ -298,17 +294,28 @@ def _verify_growth(kind: str, topology: Topology, rng) -> GrowthPlan | object:
     return random_growth(kind, topology, layer, int(rng.integers(1, 4)), rng)
 
 
+def _stationary_points(topology: Topology, data: Dataset, first_seed: int, attempts: int):
+    """Yield ``(seed, theta)`` for each start seed whose stationary-point search converges."""
+    for seed in range(first_seed, first_seed + attempts):
+        try:
+            yield seed, find_stationary_point(topology, data, tol=1e-8, max_iter=3000, seed=seed)
+        except NonConvergenceError:
+            continue
+
+
 def cmd_verify(args) -> int:
     out = _out_dir(args)
-    _echo_config(out, args)
-    maps = [m.strip() for m in args.maps.split(",") if m.strip()]
-    for name in maps:
-        if _MAP_ALIASES.get(name, name) not in ("inert", "constant", "split", "plan"):
-            raise UsageError(f"unknown map {name!r}")
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    kinds = [_MAP_ALIASES.get(m.strip(), m.strip()) for m in args.maps.split(",") if m.strip()]
+    for kind in kinds:
+        if kind not in ("inert", "constant", "split", "plan"):
+            raise UsageError(f"unknown map {kind!r}")
 
     reports = []
-    all_passed = True
 
+    # Risk-invariance cases: (topology, data, fixed network or None for a
+    # random one per case, extra record fields, case seed base, seed step).
     if args.model:
         # check the maps on a saved network instead of random ones
         theta = model_io.load_model(args.model)
@@ -317,92 +324,56 @@ def cmd_verify(args) -> int:
             if args.data
             else _verify_fixture(theta.topology, seed=1000 + args.seed)
         )
-        for map_name in maps:
-            kind = _MAP_ALIASES.get(map_name, map_name)
-            for seed in range(args.seeds):
-                rng = np.random.default_rng(args.seed + seed)
-                growth = _verify_growth(kind, theta.topology, rng)
-                report = verify_loss_invariance(theta, data, growth, rng=rng)
-                record = {
-                    "topology": list(theta.topology.layer_sizes),
-                    "model": str(args.model),
-                    "seed": args.seed + seed,
-                    **report.to_record(),
-                }
-                reports.append(record)
-                all_passed &= report.passed
-        topologies = []
+        cases = [(theta.topology, data, theta, {"model": str(args.model)}, args.seed, 1)]
     else:
-        topologies = []
-        for text in args.topologies.split(";"):
+        cases = []
+        for t_index, text in enumerate(args.topologies.split(";")):
             sizes = tuple(int(v) for v in text.split(",") if v.strip())
             if len(sizes) < 3:
                 raise UsageError(f"verify topologies need a hidden layer, got {text!r}")
-            topologies.append(Topology(sizes))
+            topology = Topology(sizes)
+            data = _verify_fixture(topology, seed=1000 + t_index)
+            cases.append((topology, data, None, {}, t_index * 1009 + args.seed, 13))
 
-    for t_index, topology in enumerate(topologies):
-        data = _verify_fixture(topology, seed=1000 + t_index)
-        for map_name in maps:
-            kind = _MAP_ALIASES.get(map_name, map_name)
+    for topology, data, saved, extra, base, step in cases:
+        for kind in kinds:
             for seed in range(args.seeds):
-                case_seed = t_index * 1009 + seed * 13 + args.seed
+                case_seed = base + seed * step
                 rng = np.random.default_rng(case_seed)
-                theta = ParamVector(topology, rng.uniform(-1.0, 1.0, param_count(topology)))
+                theta = saved if saved is not None else ParamVector(
+                    topology, rng.uniform(-1.0, 1.0, param_count(topology))
+                )
                 growth = _verify_growth(kind, topology, rng)
                 report = verify_loss_invariance(theta, data, growth, rng=rng)
-                record = {"topology": list(topology.layer_sizes), "seed": case_seed, **report.to_record()}
-                reports.append(record)
-                all_passed &= report.passed
+                reports.append({"topology": list(topology.layer_sizes), **extra,
+                                "seed": case_seed, **report.to_record()})
 
-    if args.negative_controls:
-        for t_index, topology in enumerate(topologies):
-            data = _verify_fixture(topology, seed=1000 + t_index)
+    if args.negative_controls and not args.model:
+        for t_index, (topology, data, *_) in enumerate(cases):
             rng = np.random.default_rng(args.seed + 77 + t_index)
             theta = ParamVector(topology, rng.uniform(-1.0, 1.0, param_count(topology)))
             grown = apply_growth(theta, random_growth("inert", topology, 1, 2, rng))
-            flat = np.array(grown.flat)
             # corrupt one of the zero outgoing weights of the first new neuron
-            offset = grown._block(2)[0]
-            width_below = grown.topology.size(1)
-            flat[offset + 1 + width_below - 2] = 0.7
-            corrupted = ParamVector(grown.topology, flat)
-            source_risk, _ = risk_and_gradient(theta, data)
-            bad_risk, _ = risk_and_gradient(corrupted, data)
-            gap = abs(bad_risk - source_risk)
-            passed = gap <= 1e-10 * (1.0 + abs(source_risk))
-            reports.append(
-                {
-                    "topology": list(topology.layer_sizes),
-                    "check": "risk",
-                    "map": "inert(corrupted)",
-                    "control": True,
-                    "expected": "fail",
-                    "risk_gap": gap,
-                    "verdict": "pass" if passed else "fail",
-                }
-            )
+            layers = grown.layer_arrays()
+            weights = layers[1][1].copy()
+            weights[0, -2] = 0.7
+            layers[1] = (layers[1][0], weights)
+            corrupted = ParamVector.from_layer_arrays(grown.topology, layers)
+            report = risk_gap_report(theta, corrupted, data, "inert(corrupted)")
+            reports.append({"topology": list(topology.layer_sizes), "control": True,
+                            "expected": "fail", **report.to_record()})
 
     if args.transfer:
         fixture = standardize(
             make_synthetic("teacher_net", n=2, m=1, samples=24, noise=0.1, seed=6, teacher_width=5)
         )
-        found = 0
-        attempt = 0
-        while found < args.seeds and attempt < args.seeds * 4:
-            attempt += 1
-            try:
-                theta = find_stationary_point(
-                    Topology((2, 2, 1)), fixture, tol=1e-8, max_iter=3000, seed=args.seed + attempt
-                )
-            except NonConvergenceError:
-                continue
-            found += 1
-            rng = np.random.default_rng(args.seed + 500 + attempt)
+        points = _stationary_points(Topology((2, 2, 1)), fixture, args.seed + 1, args.seeds * 4)
+        for seed, theta in islice(points, args.seeds):
+            rng = np.random.default_rng(seed + 500)
             for kind in ("constant", "split"):
                 spec = transfer_safe_spec(kind, theta.topology, 1, 2, rng)
                 report = verify_stationarity_transfer(theta, fixture, spec)
-                reports.append({"topology": [2, 2, 1], "seed": args.seed + attempt, **report.to_record()})
-                all_passed &= report.passed
+                reports.append({"topology": [2, 2, 1], "seed": seed, **report.to_record()})
 
     if args.expect_escape:
         # a width-1 student of a wide teacher keeps a large residual, so the
@@ -410,19 +381,10 @@ def cmd_verify(args) -> int:
         fixture = standardize(
             make_synthetic("teacher_net", n=2, m=1, samples=24, noise=0.2, seed=6, teacher_width=8)
         )
-        theta = None
-        for attempt in range(20):
-            try:
-                theta = find_stationary_point(
-                    Topology((2, 1, 1)), fixture, tol=1e-8, max_iter=3000, seed=args.seed + attempt
-                )
-                break
-            except NonConvergenceError:
-                continue
+        _, theta = next(_stationary_points(Topology((2, 1, 1)), fixture, args.seed, 20), (None, None))
         if theta is None:
             raise RuntimeError("no stationary point found for the escape check")
         rate = escape_rate(theta, fixture, layer=1, count=2, draws=50, threshold=1e-3, seed=args.seed)
-        passed = rate >= 0.9
         reports.append(
             {
                 "check": "escape",
@@ -430,26 +392,31 @@ def cmd_verify(args) -> int:
                 "escape_rate": rate,
                 "draws": 50,
                 "threshold": 1e-3,
-                "verdict": "pass" if passed else "fail",
+                "verdict": "pass" if rate >= 0.9 else "fail",
             }
         )
-        all_passed &= passed
 
-    with open(out / "reports.jsonl", "w", encoding="utf-8") as handle:
-        for record in reports:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-    checked = sum(1 for r in reports if not r.get("control"))
-    print(f"{checked} checks, {len(reports) - checked} controls, "
+    _write_jsonl(out / "reports.jsonl", reports)
+    checks = [r for r in reports if not r.get("control")]
+    if not checks:
+        raise RuntimeError("no checks ran")
+    all_passed = all(r["verdict"] == "pass" for r in checks)
+    print(f"{len(checks)} checks, {len(reports) - len(checks)} controls, "
           f"{'all passed' if all_passed else 'FAILURES present'}")
     return 0 if all_passed else 1
 
 
+def _check_jobs(jobs: int) -> None:
+    cores = os.cpu_count() or 1
+    if not 1 <= jobs <= cores:
+        raise UsageError(f"--jobs must lie in 1..{cores} (the CPU count), got {jobs}")
+
+
 def cmd_bench(args) -> int:
     out = _out_dir(args)
-    _echo_config(out, args)
     if not args.problem:
         raise UsageError("give at least one --problem")
+    _check_jobs(args.jobs)
     problems = [_resolve_dataset(args, spec) for spec in args.problem]
     solver_names = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if len(solver_names) < 2:
@@ -484,22 +451,12 @@ def cmd_bench(args) -> int:
     )
 
     for budget, table in sorted(result.tables.items()):
-        with open(out / f"results_b{budget}.tsv", "w", encoding="utf-8") as handle:
-            handle.write("problem\tsolver\treplica\tbudget\tfinal_risk\n")
-            for row, row_id in enumerate(table.problem_ids):
-                problem, replica = row_id.rsplit("#", 1)
-                for col, solver_id in enumerate(table.solver_ids):
-                    handle.write(
-                        f"{problem}\t{solver_id}\t{replica}\t{budget}\t"
-                        f"{float(table.values[row, col])!r}\n"
-                    )
-
-    with open(out / "traces.jsonl", "w", encoding="utf-8") as handle:
-        for (problem, replica, solver), run in sorted(result.runs.items()):
-            for record in run.epoch_records():
-                payload = {"problem": problem, "replica": replica, "solver": solver, **record}
-                handle.write(json.dumps(payload, sort_keys=True))
-                handle.write("\n")
+        save_results_tsv(table, out / f"results_b{budget}.tsv")
+    _write_jsonl(out / "traces.jsonl", (
+        {"problem": problem, "replica": replica, "solver": solver, **record}
+        for (problem, replica, solver), run in sorted(result.runs.items())
+        for record in run.epoch_records()
+    ))
 
     with open(out / "stats.tsv", "w", encoding="utf-8") as handle:
         handle.write("problem\tsolver\tmin\tq1\tmedian\tq3\tmax\n")
@@ -529,37 +486,8 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _read_table(path: Path):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if len(lines) < 2:
-        raise UsageError(f"{path}: empty results table")
-    header = lines[0].split("\t")
-    expected = ["problem", "solver", "replica", "budget", "final_risk"]
-    if header != expected:
-        raise UsageError(f"{path}: expected columns {expected}, found {header}")
-    cells: dict[tuple[str, str], dict[str, float]] = {}
-    solvers: list[str] = []
-    rows: list[tuple[str, str]] = []
-    for line in lines[1:]:
-        problem, solver, replica, _, value = line.split("\t")
-        key = (problem, replica)
-        if key not in cells:
-            cells[key] = {}
-            rows.append(key)
-        if solver not in solvers:
-            solvers.append(solver)
-        cells[key][solver] = float(value)
-    values = np.full((len(rows), len(solvers)), np.inf)
-    for r, key in enumerate(rows):
-        for c, solver in enumerate(solvers):
-            if solver in cells[key]:
-                values[r, c] = cells[key][solver]
-    return values, rows, solvers
-
-
 def cmd_profile(args) -> int:
     out = _out_dir(args)
-    _echo_config(out, args)
     alphas = np.array([float(v) for v in args.alphas.split(",")]) if "," in args.alphas else None
     if alphas is None:
         stop = float(args.alphas) if args.alphas else 10.0
@@ -567,17 +495,14 @@ def cmd_profile(args) -> int:
         alphas = np.linspace(1.0, stop, count)
     for table_path in args.table:
         path = Path(table_path)
-        values, rows, solvers = _read_table(path)
-        table = ResultsTable(
-            values, tuple(f"{p}#{r}" for p, r in rows), tuple(solvers), budget=0
-        )
+        table = load_results_tsv(path)
         ratio = performance_ratio(table)
         curve = performance_profile(ratio, alphas)
         target = out / f"profile_{path.stem}.tsv"
         with open(target, "w", encoding="utf-8") as handle:
-            handle.write("alpha\t" + "\t".join(f"rho_{s}" for s in solvers) + "\n")
+            handle.write("alpha\t" + "\t".join(f"rho_{s}" for s in table.solver_ids) + "\n")
             for a_index, alpha in enumerate(curve.alphas):
-                row = "\t".join(repr(float(curve.rho[s, a_index])) for s in range(len(solvers)))
+                row = "\t".join(repr(float(rho)) for rho in curve.rho[:, a_index])
                 handle.write(f"{float(alpha)!r}\t{row}\n")
         if ratio.clamped_rows:
             print(f"{path.name}: zero-risk clamp applied on rows {list(ratio.clamped_rows)}")
@@ -670,14 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--out", required=True)
     profile.set_defaults(func=cmd_profile)
 
-    parser.subcommand_parsers = {
-        "train": train,
-        "ita": ita,
-        "embed": embed,
-        "verify": verify,
-        "bench": bench,
-        "profile": profile,
-    }
+    parser.subcommand_parsers = commands.choices
     return parser
 
 
@@ -690,13 +608,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "target_cols"):
             args.target_cols = _parse_target_cols(args.target_cols)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, FileNotFoundError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures

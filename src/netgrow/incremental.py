@@ -4,8 +4,8 @@ The narrow network is trained until cheap progress runs out, then widened by
 inert growth with fresh uniform(0,1) parameters. Widening keeps the risk
 exactly where it was but generically breaks stationarity, so the optimizer
 wakes up with new descent directions instead of sitting on a grown-in flat
-spot. The run ends with a full-tolerance stage at the target width. A
-fixed-width baseline with the same optimizer is provided for comparisons.
+spot. The run ends with a full-tolerance stage at the target width. The
+fixed-width baseline is the same loop started at the target width.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .autodiff import risk_and_gradient
+from .autodiff import risk_and_gradient, risk_objective
 from .growth import grow_inert
 from .net_core import (
     MSE,
@@ -126,10 +126,7 @@ class ItaConfig:
             return width
         if isinstance(self.growth, int):
             return self.growth
-        schedule = list(self.growth)
-        if not schedule:
-            raise ValueError("empty growth schedule")
-        return int(schedule[min(stage, len(schedule) - 1)])
+        return self.growth[min(stage, len(self.growth) - 1)]
 
 
 @dataclass(frozen=True)
@@ -178,13 +175,6 @@ class TrainRun:
                 }
 
 
-def _make_objective(topology: Topology, data, loss, activation):
-    def objective(flat: np.ndarray):
-        return risk_and_gradient(ParamVector(topology, flat), data, loss, activation)
-
-    return objective
-
-
 def _stage_hook(rel_factor: float, loss_delta: float, relative: bool):
     state: dict = {}
 
@@ -227,6 +217,38 @@ def ita_train(
     norm clears the stage tolerance (the risk itself is asserted unchanged);
     :class:`GrowthEscapeError` is raised when the retries run out.
     """
+    return _train(data, cfg, "ita", loss, activation)
+
+
+def standard_train(
+    data,
+    width: int,
+    *,
+    tol: float = 1e-6,
+    maxit: int = 1000,
+    seed: int = 0,
+    loss: LossFunction = MSE,
+    activation: ActivationFunction = TANH,
+    lbfgs: LbfgsConfig | None = None,
+) -> TrainRun:
+    """Fixed-width baseline: one optimizer run from a uniform(0,1) start.
+
+    This is the incremental loop with nothing to grow: at
+    ``initial_width == max_width`` it runs a single full-tolerance stage.
+    """
+    cfg = ItaConfig(
+        initial_width=width,
+        max_width=width,
+        final_grad_tol=tol,
+        maxit_per_stage=maxit,
+        seed=seed,
+        lbfgs=lbfgs or LbfgsConfig(),
+    )
+    return _train(data, cfg, "standard", loss, activation)
+
+
+def _train(data, cfg: ItaConfig, solver: str, loss, activation) -> TrainRun:
+    """Train stage by stage, widening between stages, and label the run ``solver``."""
     n, m = data.inputs.shape[1], data.targets.shape[1]
     widths = list(cfg.initial_hidden_widths or (cfg.initial_width,))
     rng = np.random.default_rng(cfg.seed)
@@ -251,7 +273,7 @@ def ita_train(
             cfg.loss_delta_relative,
         )
         result = lbfgs_minimize(
-            _make_objective(theta.topology, data, loss, activation),
+            risk_objective(theta.topology, data, loss, activation),
             theta.flat,
             stage_cfg,
             stop_hook=hook,
@@ -295,7 +317,7 @@ def ita_train(
 
     loss_trace, grad_trace = _concat_traces(stages)
     return TrainRun(
-        solver="ita",
+        solver=solver,
         stages=tuple(stages),
         theta_final=theta,
         cumulative_epochs=epochs_used,
@@ -351,40 +373,3 @@ def _grow_stage(
         f"{cfg.embed_retry_limit} growth draws left the gradient below {stage_tol:.3e}"
     )
 
-
-def standard_train(
-    data,
-    width: int,
-    *,
-    tol: float = 1e-6,
-    maxit: int = 1000,
-    seed: int = 0,
-    loss: LossFunction = MSE,
-    activation: ActivationFunction = TANH,
-    lbfgs: LbfgsConfig | None = None,
-) -> TrainRun:
-    """Fixed-width baseline: one optimizer run from a uniform(0,1) start."""
-    n, m = data.inputs.shape[1], data.targets.shape[1]
-    topology = Topology((n, width, m))
-    rng = np.random.default_rng(seed)
-    start = rng.uniform(0.0, 1.0, param_count(topology))
-    cfg = replace(lbfgs or LbfgsConfig(), max_iter=maxit, grad_tol_inf=tol)
-    result = lbfgs_minimize(_make_objective(topology, data, loss, activation), start, cfg)
-    stage = StageRecord(
-        widths=(width,),
-        start_risk=result.f_history[0],
-        end_risk=result.f_final,
-        end_grad_norm=result.grad_norm_final,
-        iterations=result.iterations,
-        termination=result.termination,
-        f_history=tuple(result.f_history),
-        g_history=tuple(result.g_history),
-    )
-    return TrainRun(
-        solver="standard",
-        stages=(stage,),
-        theta_final=ParamVector(topology, result.theta),
-        cumulative_epochs=result.iterations,
-        loss_trace=stage.f_history,
-        grad_trace=stage.g_history,
-    )

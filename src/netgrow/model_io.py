@@ -42,15 +42,21 @@ def load_model(path) -> ParamVector:
     version, n_sizes = struct.unpack_from("<II", raw, 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported model version {version}")
-    sizes = struct.unpack_from(f"<{n_sizes}I", raw, 12)
-    topology = Topology(sizes)
     offset = 12 + 4 * n_sizes
-    flat = np.frombuffer(raw, dtype="<f8", offset=offset)
-    if flat.size != param_count(topology):
+    if len(raw) < offset:
         raise ValueError(
-            f"{path}: expected {param_count(topology)} parameters, found {flat.size}"
+            f"{path}: header declares {n_sizes} layer sizes but the file has {len(raw)} bytes"
         )
-    return ParamVector(topology, flat)
+    try:
+        topology = Topology(struct.unpack_from(f"<{n_sizes}I", raw, 12))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if len(raw) - offset != 8 * param_count(topology):
+        raise ValueError(
+            f"{path}: expected {param_count(topology)} parameters "
+            f"({8 * param_count(topology)} bytes), found {len(raw) - offset} bytes"
+        )
+    return ParamVector(topology, np.frombuffer(raw, dtype="<f8", offset=offset))
 
 
 def save_model_text(theta: ParamVector, path) -> None:

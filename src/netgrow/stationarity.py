@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import grad_norm_inf, risk_and_gradient
+from .autodiff import grad_norm_inf, risk_and_gradient, risk_objective
 from .growth import (
     ConstantGrowth,
     GrowthPlan,
@@ -35,6 +35,7 @@ __all__ = [
     "StationarityReport",
     "NonConvergenceError",
     "find_stationary_point",
+    "risk_gap_report",
     "verify_loss_invariance",
     "verify_stationarity_transfer",
     "transfer_safe_spec",
@@ -101,11 +102,11 @@ def find_stationary_point(
         raise ValueError(f"tolerance must be positive, got {tol}")
     rng = np.random.default_rng(seed)
     start = rng.uniform(0.0, 1.0, param_count(topology))
-
-    def objective(flat: np.ndarray):
-        return risk_and_gradient(ParamVector(topology, flat), data, loss, activation)
-
-    result = lbfgs_minimize(objective, start, LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter))
+    result = lbfgs_minimize(
+        risk_objective(topology, data, loss, activation),
+        start,
+        LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter),
+    )
     if result.grad_norm_final > tol:
         raise NonConvergenceError(result.grad_norm_final)
     return ParamVector(topology, result.theta)
@@ -127,13 +128,28 @@ def verify_loss_invariance(
     rng: np.random.Generator | None = None,
 ) -> StationarityReport:
     """Check that growing leaves the empirical risk unchanged at ``theta``."""
-    source_risk, source_grad = risk_and_gradient(theta, data, loss, activation)
     grown = _grow(theta, growth, rng, activation)
+    return risk_gap_report(
+        theta, grown, data, growth_label(growth), loss=loss, activation=activation
+    )
+
+
+def risk_gap_report(
+    theta: ParamVector,
+    grown: ParamVector,
+    data,
+    map_label: str,
+    *,
+    loss: LossFunction = MSE,
+    activation: ActivationFunction = TANH,
+) -> StationarityReport:
+    """Risk check of ``grown`` against ``theta``: the risks must agree to ``RISK_GAP_RTOL``."""
+    source_risk, source_grad = risk_and_gradient(theta, data, loss, activation)
     grown_risk, grown_grad = risk_and_gradient(grown, data, loss, activation)
     gap = abs(grown_risk - source_risk)
     return StationarityReport(
         check="risk",
-        map_label=growth_label(growth),
+        map_label=map_label,
         source_risk=source_risk,
         embedded_risk=grown_risk,
         risk_gap=gap,
