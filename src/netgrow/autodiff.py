@@ -1,12 +1,11 @@
-"""Exact risk gradients from forward-propagated sensitivities.
+"""Exact risk gradients by one forward pass and one backward sweep.
 
-The gradient is assembled layer by layer: a forward sweep carries, for every
-earlier layer, the Jacobian of the current pre-activations with respect to
-that layer's pre-activations. Seeding those Jacobians with the local
-structure of each parameter (a bias moves its own neuron by 1, a weight by
-the incoming signal) yields every partial derivative in ``depth`` batched
-matrix products instead of one pass per parameter. A central finite
-difference oracle is included for testing.
+The forward pass keeps the signal entering each layer and its
+pre-activations. The backward sweep carries ``u``, the per-sample partial of
+the loss with respect to one layer's pre-activations, from the outputs down
+to the first hidden layer; each layer's bias and weight partials are then
+``u`` summed over the samples and ``u`` against the incoming signal. A
+central finite difference oracle is included for testing.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from .net_core import (
     LossFunction,
     ParamVector,
     Topology,
+    _forward,
     empirical_risk,
 )
 
@@ -50,55 +50,28 @@ def risk_and_gradient(
         raise ValueError("dataset is empty")
     topology = theta.topology
     depth = topology.depth
-    if inputs.ndim != 2 or inputs.shape[1] != topology.n_inputs:
-        raise ValueError(
-            f"inputs must have shape (P, {topology.n_inputs}), got {inputs.shape}"
-        )
+    layers = theta.layer_arrays()
+    signals, pre = _forward(layers, inputs, activation)
     if targets.shape != (n_samples, topology.n_outputs):
         raise ValueError(
             f"targets must have shape ({n_samples}, {topology.n_outputs}), "
             f"got {targets.shape}"
         )
-
-    layers = theta.layer_arrays()
-
-    # Forward pass, keeping each layer's input signal for the weight partials.
-    layer_inputs = []
-    pre = []
-    z = inputs
-    for layer, (b, w) in enumerate(layers, start=1):
-        layer_inputs.append(z)
-        a = z @ w.T + b
-        pre.append(a)
-        if layer < depth:
-            z = activation.value(a)
     outputs = pre[-1]
     risk = float(np.mean(loss.value(targets, outputs)))
 
-    # Sweep output Jacobians forward: jac[layer] ends as d a^depth / d a^layer,
-    # shape (P, n_outputs, H_layer). None stands for the identity seed.
-    jac: dict[int, np.ndarray | None] = {}
-    for q in range(1, depth + 1):
-        if q > 1:
-            slope = activation.derivative(pre[q - 2])
-            transfer = layers[q - 1][1][None, :, :] * slope[:, None, :]
-            for layer in jac:
-                j = jac[layer]
-                jac[layer] = transfer if j is None else transfer @ j
-        jac[q] = None
-
-    dloss = loss.derivative_per_output(targets, outputs)
-
+    # Backward sweep: u is d loss / d a^layer, one row per sample.
+    u = loss.derivative_per_output(targets, outputs)
     grads = []
-    for layer in range(1, depth + 1):
-        j = jac[layer]
-        u = dloss if j is None else np.einsum("pr,prj->pj", dloss, j)
-        z_in = layer_inputs[layer - 1]
+    for layer in range(depth, 0, -1):
+        if layer < depth:
+            slope = activation.derivative(pre[layer - 1])
+            u = np.einsum("pr,prj->pj", u, layers[layer][1][None, :, :] * slope[:, None, :])
         grad_b = u.sum(axis=0) / n_samples
-        grad_w = np.einsum("pj,pi->ji", u, z_in) / n_samples
+        grad_w = np.einsum("pj,pi->ji", u, signals[layer - 1]) / n_samples
         grads.append((grad_b, grad_w))
 
-    flat = ParamVector.from_layer_arrays(topology, grads).flat
+    flat = ParamVector.from_layer_arrays(topology, grads[::-1]).flat
     return risk, flat
 
 

@@ -191,6 +191,23 @@ def _parse_target_cols(value):
     return value
 
 
+def _add_growth_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--growth", default="double",
+                     help="neurons added per stage: 'double', an int, or a comma list")
+
+
+def _parse_growth(value) -> str | int | list[int]:
+    if value == "double":
+        return value
+    try:
+        amounts = [int(v) for v in str(value).split(",")]
+    except ValueError:
+        raise UsageError(
+            f"--growth must be 'double', an int, or a comma list, got {value!r}"
+        ) from None
+    return amounts[0] if len(amounts) == 1 else amounts
+
+
 def _save_run(out: Path, run) -> None:
     """Per-epoch metrics, the final model (binary and text) and a run summary."""
     _write_jsonl(out / "metrics.jsonl", run.epoch_records())
@@ -227,18 +244,10 @@ def cmd_ita(args) -> int:
     data = _resolve_dataset(args)
     if args.h0 > args.hmax:
         raise UsageError(f"--h0 {args.h0} exceeds --hmax {args.hmax}")
-    growth: str | int | list[int] = args.growth
-    if growth != "double":
-        try:
-            growth = [int(v) for v in str(growth).split(",")]
-            if len(growth) == 1:
-                growth = growth[0]
-        except ValueError:
-            raise UsageError(f"--growth must be 'double', an int, or a comma list, got {args.growth!r}") from None
     cfg = ItaConfig(
         initial_width=args.h0,
         max_width=args.hmax,
-        growth=growth,
+        growth=_parse_growth(args.growth),
         final_grad_tol=args.final_tol,
         maxit_per_stage=args.maxit_per_stage,
         seed=args.seed,
@@ -431,7 +440,7 @@ def cmd_bench(args) -> int:
                     config=ItaConfig(
                         initial_width=args.h0,
                         max_width=args.hmax,
-                        growth=args.growth,
+                        growth=_parse_growth(args.growth),
                         final_grad_tol=args.std_tol,
                         intermediate_loss_delta=args.ita_delta,
                         loss_delta_relative=args.ita_delta_relative,
@@ -491,6 +500,8 @@ def cmd_profile(args) -> int:
     alphas = np.array([float(v) for v in args.alphas.split(",")]) if "," in args.alphas else None
     if alphas is None:
         stop = float(args.alphas) if args.alphas else 10.0
+        if not 1.0 <= stop < np.inf:
+            raise UsageError(f"--alphas grid end must be a finite number >= 1, got {args.alphas!r}")
         count = round((stop - 1.0) / 0.05) + 1
         alphas = np.linspace(1.0, stop, count)
     for table_path in args.table:
@@ -531,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(ita)
     ita.add_argument("--h0", type=int, default=10, help="starting hidden width")
     ita.add_argument("--hmax", type=int, default=100, help="target hidden width")
-    ita.add_argument("--growth", default="double", help="'double', an int, or a comma list")
+    _add_growth_flag(ita)
     ita.add_argument("--final-tol", type=float, default=1e-6)
     ita.add_argument("--maxit-per-stage", type=int, default=1000)
     ita.add_argument("--budget", type=int, default=None, help="total epoch cap")
@@ -577,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--std-tol", type=float, default=1e-6)
     bench.add_argument("--h0", type=int, default=10)
     bench.add_argument("--hmax", type=int, default=100)
-    bench.add_argument("--growth", default="double")
+    _add_growth_flag(bench)
     bench.add_argument("--ita-delta", type=float, default=1e-2,
                        help="stage stop: epoch-to-epoch risk improvement floor")
     bench.add_argument("--ita-delta-relative", action="store_true",

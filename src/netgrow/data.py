@@ -79,6 +79,15 @@ def _resolve_target_columns(spec, n_columns: int) -> list[int]:
     return sorted(cols)
 
 
+def _reject_non_finite(values: np.ndarray, columns, rows, line_numbers, kind: str) -> None:
+    """Raise :class:`ParseError` at the first NaN or Inf cell of ``values``."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        col = columns[c]
+        raise ParseError(f"non-finite {kind} {rows[r][col]!r} in column {col}", line_numbers[r])
+
+
 def load_delimited(
     path,
     *,
@@ -125,19 +134,22 @@ def load_delimited(
                 features[r, c] = float(row[col])
             except ValueError:
                 raise ParseError(f"non-numeric feature {row[col]!r} in column {col}", number) from None
+    _reject_non_finite(features, feature_idx, rows, line_numbers, "feature")
 
     target_parts = []
     for col in target_idx:
         cells = [row[col] for row in rows]
         try:
-            target_parts.append(np.array([[float(v)] for v in cells]))
+            column = np.array([[float(v)] for v in cells])
         except ValueError:
             classes = sorted(set(cells))
-            onehot = np.zeros((len(cells), len(classes)))
+            column = np.zeros((len(cells), len(classes)))
             index = {label: k for k, label in enumerate(classes)}
             for r, value in enumerate(cells):
-                onehot[r, index[value]] = 1.0
-            target_parts.append(onehot)
+                column[r, index[value]] = 1.0
+        else:
+            _reject_non_finite(column, [col], rows, line_numbers, "target")
+        target_parts.append(column)
     targets = np.hstack(target_parts)
 
     return Dataset(features, targets, name=name or path.stem)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .autodiff import risk_and_gradient, risk_objective
-from .growth import grow_inert
+from .growth import apply_growth, random_growth
 from .net_core import (
     MSE,
     TANH,
@@ -350,16 +350,9 @@ def _grow_stage(
     for _ in range(cfg.embed_retry_limit):
         candidate = theta
         for position, amount in enumerate(grow_amounts):
-            if amount == 0:
-                continue
-            layer = position + 1
-            below = candidate.topology.size(layer - 1)
-            candidate = grow_inert(
-                candidate,
-                layer,
-                rng.uniform(0.0, 1.0, amount),
-                rng.uniform(0.0, 1.0, (amount, below)),
-            )
+            if amount:
+                spec = random_growth("inert", candidate.topology, position + 1, amount, rng)
+                candidate = apply_growth(candidate, spec, activation)
         risk, grad = risk_and_gradient(candidate, data, loss, activation)
         if abs(risk - stage_end_risk) > RISK_CONTINUITY_RTOL * (1.0 + abs(stage_end_risk)):
             raise RuntimeError(

@@ -236,6 +236,29 @@ class ActivationRecord:
         return self.pre_activations[-1]
 
 
+def _forward(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    inputs: np.ndarray,
+    activation: ActivationFunction,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The forward loop: per layer, the signal entering it and its pre-activations."""
+    x = np.asarray(inputs, dtype=np.float64)
+    n_inputs = layers[0][1].shape[1]
+    if x.ndim != 2 or x.shape[1] != n_inputs:
+        raise ValueError(f"inputs must have shape (P, {n_inputs}), got {x.shape}")
+    depth = len(layers)
+    signals = []
+    pre = []
+    z = x
+    for layer, (b, w) in enumerate(layers, start=1):
+        signals.append(z)
+        a = z @ w.T + b
+        pre.append(a)
+        if layer < depth:
+            z = activation.value(a)
+    return signals, pre
+
+
 def forward_batch(
     theta: ParamVector,
     inputs: np.ndarray,
@@ -246,20 +269,7 @@ def forward_batch(
     The output layer is linear, so the last entry is the batch of network
     outputs.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != theta.topology.n_inputs:
-        raise ValueError(
-            f"inputs must have shape (P, {theta.topology.n_inputs}), got {x.shape}"
-        )
-    pre = []
-    z = x
-    depth = theta.topology.depth
-    for layer, (b, w) in enumerate(theta.layer_arrays(), start=1):
-        a = z @ w.T + b
-        pre.append(a)
-        if layer < depth:
-            z = activation.value(a)
-    return pre
+    return _forward(theta.layer_arrays(), inputs, activation)[1]
 
 
 def forward(

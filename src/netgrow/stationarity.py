@@ -9,7 +9,7 @@ the reports are plain records so the CLI can stream them one per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Sequence
 
@@ -21,7 +21,6 @@ from .growth import (
     GrowthPlan,
     GrowthSpec,
     GrowthStep,
-    InertGrowth,
     SplitGrowth,
     apply_growth,
     apply_plan,
@@ -236,26 +235,17 @@ def verify_stationarity_transfer(
     if len(set(layers)) != len(layers):
         raise ValueError(f"chained growth layers must be distinct, got {layers}")
 
-    source_risk, source_grad = risk_and_gradient(theta, data, loss, activation)
     grown = theta
     for spec in specs:
         grown = apply_growth(grown, spec, activation)
-    grown_risk, grown_grad = risk_and_gradient(grown, data, loss, activation)
-    source_norm = grad_norm_inf(source_grad)
-    grown_norm = grad_norm_inf(grown_grad)
     label = specs[0] if len(specs) == 1 else GrowthPlan(
         tuple(GrowthStep(s.kind, s.layer, s.count) for s in specs)
     )
-    return StationarityReport(
-        check="gradient",
-        map_label=growth_label(label),
-        source_risk=source_risk,
-        embedded_risk=grown_risk,
-        risk_gap=abs(grown_risk - source_risk),
-        source_grad_norm=source_norm,
-        embedded_grad_norm=grown_norm,
-        passed=grown_norm <= TRANSFER_SLACK * max(source_norm, TRANSFER_FLOOR),
+    report = risk_gap_report(
+        theta, grown, data, growth_label(label), loss=loss, activation=activation
     )
+    bound = TRANSFER_SLACK * max(report.source_grad_norm, TRANSFER_FLOOR)
+    return replace(report, check="gradient", passed=report.embedded_grad_norm <= bound)
 
 
 def escape_rate(
@@ -277,9 +267,8 @@ def escape_rate(
     """
     rng = np.random.default_rng(seed)
     hits = 0
-    below = theta.topology.size(layer - 1)
     for _ in range(draws):
-        spec = InertGrowth(layer, rng.uniform(0.0, 1.0, count), rng.uniform(0.0, 1.0, (count, below)))
+        spec = random_growth("inert", theta.topology, layer, count, rng)
         grown = apply_growth(theta, spec, activation)
         _, grad = risk_and_gradient(grown, data, loss, activation)
         if grad_norm_inf(grad) > threshold:
