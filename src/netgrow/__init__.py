@@ -7,7 +7,6 @@ stationarity, and a benchmark harness with performance profiles.
 """
 
 from .autodiff import (
-    GradientVector,
     grad_norm_inf,
     gradient_finite_diff,
     gradient_forward,
@@ -26,7 +25,9 @@ from .bench import (
     performance_profile,
     performance_ratio,
     run_benchmark,
+    save_profile_tsv,
     save_results_tsv,
+    save_stats_tsv,
     summary_stats,
 )
 from .data import Dataset, ParseError, load_delimited, make_synthetic, save_delimited, standardize

@@ -16,7 +16,6 @@ from .net_core import (
     MSE,
     TANH,
     ActivationFunction,
-    LossFunction,
     ParamVector,
     Topology,
     _forward,
@@ -24,7 +23,6 @@ from .net_core import (
 )
 
 __all__ = [
-    "GradientVector",
     "risk_and_gradient",
     "risk_objective",
     "gradient_forward",
@@ -32,14 +30,9 @@ __all__ = [
     "grad_norm_inf",
 ]
 
-# Same flat layout and accessors as the parameters it differentiates.
-GradientVector = ParamVector
-
-
 def risk_and_gradient(
     theta: ParamVector,
     data,
-    loss: LossFunction = MSE,
     activation: ActivationFunction = TANH,
 ) -> tuple[float, np.ndarray]:
     """Empirical risk and its flat gradient, sharing one forward pass."""
@@ -58,10 +51,10 @@ def risk_and_gradient(
             f"got {targets.shape}"
         )
     outputs = pre[-1]
-    risk = float(np.mean(loss.value(targets, outputs)))
+    risk = float(np.mean(MSE.value(targets, outputs)))
 
     # Backward sweep: u is d loss / d a^layer, one row per sample.
-    u = loss.derivative_per_output(targets, outputs)
+    u = MSE.derivative_per_output(targets, outputs)
     grads = []
     for layer in range(depth, 0, -1):
         if layer < depth:
@@ -78,13 +71,12 @@ def risk_and_gradient(
 def risk_objective(
     topology: Topology,
     data,
-    loss: LossFunction = MSE,
     activation: ActivationFunction = TANH,
 ):
     """The optimizer's objective: flat parameters -> (risk, flat gradient)."""
 
     def objective(flat: np.ndarray):
-        return risk_and_gradient(ParamVector(topology, flat), data, loss, activation)
+        return risk_and_gradient(ParamVector(topology, flat), data, activation)
 
     return objective
 
@@ -92,21 +84,19 @@ def risk_objective(
 def gradient_forward(
     theta: ParamVector,
     data,
-    loss: LossFunction = MSE,
     activation: ActivationFunction = TANH,
-) -> GradientVector:
+) -> ParamVector:
     """Gradient of the empirical risk, flat layout matching ``theta``."""
-    _, flat = risk_and_gradient(theta, data, loss, activation)
-    return GradientVector(theta.topology, flat)
+    _, flat = risk_and_gradient(theta, data, activation)
+    return ParamVector(theta.topology, flat)
 
 
 def gradient_finite_diff(
     theta: ParamVector,
     data,
-    loss: LossFunction = MSE,
     activation: ActivationFunction = TANH,
     step: float = 1e-6,
-) -> GradientVector:
+) -> ParamVector:
     """Central-difference gradient, the test oracle for :func:`gradient_forward`."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -115,11 +105,11 @@ def gradient_finite_diff(
     for k in range(base.size):
         bumped = base.copy()
         bumped[k] = base[k] + step
-        up = empirical_risk(ParamVector(theta.topology, bumped), data, loss, activation)
+        up = empirical_risk(ParamVector(theta.topology, bumped), data, activation)
         bumped[k] = base[k] - step
-        down = empirical_risk(ParamVector(theta.topology, bumped), data, loss, activation)
+        down = empirical_risk(ParamVector(theta.topology, bumped), data, activation)
         grad[k] = (up - down) / (2.0 * step)
-    return GradientVector(theta.topology, grad)
+    return ParamVector(theta.topology, grad)
 
 
 def grad_norm_inf(gradient) -> float:

@@ -5,8 +5,10 @@ epoch budget; smaller budgets are snapshots of the same run, so the per-cell
 seeds and iterates are shared across budgets by construction. Replicas are
 treated as distinct problems when profiling. The profile for a solver at
 factor ``alpha`` is the fraction of problems on which its final risk is
-within ``alpha`` times the best final risk of any solver. Tables are stored
-as ``results_b<B>.tsv`` files with one line per cell.
+within ``alpha`` times the best final risk of any solver. This module owns
+the table formats: ``results_b<B>.tsv`` (one line per cell), ``stats.tsv``
+(one five-number summary per problem and solver) and ``profile_*.tsv`` (one
+line per alpha).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from .data import Dataset
 from .incremental import ItaConfig, TrainRun, ita_train, standard_train
-from .net_core import MSE, TANH, ActivationFunction, LossFunction
 
 __all__ = [
     "StandardSolver",
@@ -31,6 +32,8 @@ __all__ = [
     "BenchResult",
     "save_results_tsv",
     "load_results_tsv",
+    "save_stats_tsv",
+    "save_profile_tsv",
     "cell_seed",
     "run_benchmark",
     "performance_ratio",
@@ -101,6 +104,7 @@ class ResultsTable:
 
 
 _TSV_COLUMNS = ("problem", "solver", "replica", "budget", "final_risk")
+_STATS_COLUMNS = ("min", "q1", "median", "q3", "max")
 
 
 def save_results_tsv(table: ResultsTable, path) -> None:
@@ -154,6 +158,36 @@ def load_results_tsv(path) -> ResultsTable:
             solvers.append(solver)
     values = [[row.get(solver, np.inf) for solver in solvers] for row in cells.values()]
     return ResultsTable(np.array(values), tuple(cells), tuple(solvers), budget)
+
+
+def save_stats_tsv(result: BenchResult, path) -> None:
+    """Five-number summary of the final risks of each (problem, solver) pair.
+
+    Rows follow the problem and solver order of the result's tables; a pair
+    with no successful run has no row.
+    """
+    groups: dict[tuple[str, str], list[TrainRun]] = {}
+    for (problem, _, solver), run in result.runs.items():
+        groups.setdefault((problem, solver), []).append(run)
+    table = next(iter(result.tables.values()))
+    problems = dict.fromkeys(row_id.rsplit("#", 1)[0] for row_id in table.problem_ids)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("problem\tsolver\t" + "\t".join(_STATS_COLUMNS) + "\n")
+        for problem in problems:
+            for solver in table.solver_ids:
+                if (problem, solver) in groups:
+                    stats = summary_stats(groups[problem, solver])
+                    row = "\t".join(repr(stats[key]) for key in _STATS_COLUMNS)
+                    handle.write(f"{problem}\t{solver}\t{row}\n")
+
+
+def save_profile_tsv(curve: ProfileCurve, path) -> None:
+    """One line per alpha: the alpha, then ``rho`` of each solver."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("alpha\t" + "\t".join(f"rho_{s}" for s in curve.solver_ids) + "\n")
+        for a_index, alpha in enumerate(curve.alphas):
+            row = "\t".join(repr(float(rho)) for rho in curve.rho[:, a_index])
+            handle.write(f"{float(alpha)!r}\t{row}\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,14 +276,11 @@ def summary_stats(runs: Sequence) -> dict[str, float]:
 
 
 def _run_cell(args):
-    problem, solver, seed, budget, loss, activation = args
+    problem, solver, seed, budget = args
     if isinstance(solver, StandardSolver):
-        return standard_train(
-            problem, solver.width, tol=solver.tol, maxit=budget, seed=seed,
-            loss=loss, activation=activation,
-        )
+        return standard_train(problem, solver.width, tol=solver.tol, maxit=budget, seed=seed)
     cfg = replace(solver.config, seed=seed, total_epoch_budget=budget)
-    return ita_train(problem, cfg, loss=loss, activation=activation)
+    return ita_train(problem, cfg)
 
 
 def run_benchmark(
@@ -259,8 +290,6 @@ def run_benchmark(
     epoch_budgets: Sequence[int],
     base_seed: int = 0,
     *,
-    loss: LossFunction = MSE,
-    activation: ActivationFunction = TANH,
     jobs: int = 1,
 ) -> BenchResult:
     """Run every (problem, replica, solver) cell once and snapshot per budget.
@@ -292,7 +321,7 @@ def run_benchmark(
         for ir in range(replicas):
             for is_, solver in enumerate(solvers):
                 seed = cell_seed(base_seed, ip, ir, is_)
-                cells.append((problem, solver, seed, max_budget, loss, activation))
+                cells.append((problem, solver, seed, max_budget))
                 keys.append((problem.name, ir, solver.solver_id))
 
     if jobs > 1:

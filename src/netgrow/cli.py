@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -28,8 +29,9 @@ from .bench import (
     performance_profile,
     performance_ratio,
     run_benchmark,
+    save_profile_tsv,
     save_results_tsv,
-    summary_stats,
+    save_stats_tsv,
 )
 from .data import Dataset, ParseError, load_delimited, make_synthetic, standardize
 from .growth import (
@@ -89,6 +91,19 @@ def _out_dir(args: argparse.Namespace) -> Path:
             payload[key] = str(value)
     _write_json(out / "config.json", payload)
     return out
+
+
+def _parse_list(flag: str, text, kind=str) -> list:
+    """Items of a comma list, blanks skipped; an item ``kind`` rejects is a usage error."""
+    values = []
+    for item in str(text).split(","):
+        item = item.strip()
+        if item:
+            try:
+                values.append(kind(item))
+            except ValueError:
+                raise UsageError(f"{flag}: bad item {item!r} in {text!r}") from None
+    return values
 
 
 def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -185,27 +200,9 @@ def _add_data_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_target_cols(value):
-    if isinstance(value, str) and not value.startswith("last-"):
-        return [int(v) for v in value.split(",")]
-    return value
-
-
 def _add_growth_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--growth", default="double",
                      help="neurons added per stage: 'double', an int, or a comma list")
-
-
-def _parse_growth(value) -> str | int | list[int]:
-    if value == "double":
-        return value
-    try:
-        amounts = [int(v) for v in str(value).split(",")]
-    except ValueError:
-        raise UsageError(
-            f"--growth must be 'double', an int, or a comma list, got {value!r}"
-        ) from None
-    return amounts[0] if len(amounts) == 1 else amounts
 
 
 def _save_run(out: Path, run) -> None:
@@ -247,7 +244,7 @@ def cmd_ita(args) -> int:
     cfg = ItaConfig(
         initial_width=args.h0,
         max_width=args.hmax,
-        growth=_parse_growth(args.growth),
+        growth=args.growth if args.growth == "double" else _parse_list("--growth", args.growth, int),
         final_grad_tol=args.final_tol,
         maxit_per_stage=args.maxit_per_stage,
         seed=args.seed,
@@ -269,7 +266,7 @@ def cmd_embed(args) -> int:
         raise UsageError(f"unknown --map {args.map!r}")
     rng = np.random.default_rng(args.seed)
     if kind == "split" and args.shares:
-        shares = np.array([float(v) for v in args.shares.split(",")])
+        shares = np.array(_parse_list("--shares", args.shares, float))
         source = args.source if args.source is not None else int(rng.integers(theta.topology.size(args.layer)))
         spec = SplitGrowth(args.layer, shares.size - 1, source, shares)
     else:
@@ -316,7 +313,7 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
-    kinds = [_MAP_ALIASES.get(m.strip(), m.strip()) for m in args.maps.split(",") if m.strip()]
+    kinds = [_MAP_ALIASES.get(m, m) for m in _parse_list("--maps", args.maps)]
     for kind in kinds:
         if kind not in ("inert", "constant", "split", "plan"):
             raise UsageError(f"unknown map {kind!r}")
@@ -337,7 +334,7 @@ def cmd_verify(args) -> int:
     else:
         cases = []
         for t_index, text in enumerate(args.topologies.split(";")):
-            sizes = tuple(int(v) for v in text.split(",") if v.strip())
+            sizes = tuple(_parse_list("--topologies", text, int))
             if len(sizes) < 3:
                 raise UsageError(f"verify topologies need a hidden layer, got {text!r}")
             topology = Topology(sizes)
@@ -427,7 +424,7 @@ def cmd_bench(args) -> int:
         raise UsageError("give at least one --problem")
     _check_jobs(args.jobs)
     problems = [_resolve_dataset(args, spec) for spec in args.problem]
-    solver_names = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    solver_names = _parse_list("--solvers", args.solvers)
     if len(solver_names) < 2:
         raise UsageError("bench compares solvers; give at least two via --solvers")
     solvers = []
@@ -440,21 +437,20 @@ def cmd_bench(args) -> int:
                     config=ItaConfig(
                         initial_width=args.h0,
                         max_width=args.hmax,
-                        growth=_parse_growth(args.growth),
+                        growth=args.growth if args.growth == "double"
+                        else _parse_list("--growth", args.growth, int),
                         final_grad_tol=args.std_tol,
                         intermediate_loss_delta=args.ita_delta,
-                        loss_delta_relative=args.ita_delta_relative,
                     )
                 )
             )
         else:
             raise UsageError(f"unknown solver {name!r} (use standard, ita)")
-    budgets = [int(v) for v in args.budgets.split(",")]
     result = run_benchmark(
         problems,
         solvers,
         replicas=args.replicas,
-        epoch_budgets=budgets,
+        epoch_budgets=_parse_list("--budgets", args.budgets, int),
         base_seed=args.seed,
         jobs=args.jobs,
     )
@@ -466,23 +462,7 @@ def cmd_bench(args) -> int:
         for (problem, replica, solver), run in sorted(result.runs.items())
         for record in run.epoch_records()
     ))
-
-    with open(out / "stats.tsv", "w", encoding="utf-8") as handle:
-        handle.write("problem\tsolver\tmin\tq1\tmedian\tq3\tmax\n")
-        for problem in problems:
-            for solver in solvers:
-                cell_runs = [
-                    run
-                    for (p, _, s), run in sorted(result.runs.items())
-                    if p == problem.name and s == solver.solver_id
-                ]
-                if not cell_runs:
-                    continue
-                stats = summary_stats(cell_runs)
-                handle.write(
-                    f"{problem.name}\t{solver.solver_id}\t{stats['min']!r}\t"
-                    f"{stats['q1']!r}\t{stats['median']!r}\t{stats['q3']!r}\t{stats['max']!r}\n"
-                )
+    save_stats_tsv(result, out / "stats.tsv")
 
     if result.failures:
         with open(out / "failures.txt", "w", encoding="utf-8") as handle:
@@ -497,9 +477,9 @@ def cmd_bench(args) -> int:
 
 def cmd_profile(args) -> int:
     out = _out_dir(args)
-    alphas = np.array([float(v) for v in args.alphas.split(",")]) if "," in args.alphas else None
-    if alphas is None:
-        stop = float(args.alphas) if args.alphas else 10.0
+    alphas = np.array(_parse_list("--alphas", args.alphas, float))
+    if alphas.size == 1:
+        stop = alphas[0]
         if not 1.0 <= stop < np.inf:
             raise UsageError(f"--alphas grid end must be a finite number >= 1, got {args.alphas!r}")
         count = round((stop - 1.0) / 0.05) + 1
@@ -508,13 +488,9 @@ def cmd_profile(args) -> int:
         path = Path(table_path)
         table = load_results_tsv(path)
         ratio = performance_ratio(table)
-        curve = performance_profile(ratio, alphas)
+        curve = replace(performance_profile(ratio, alphas), solver_ids=table.solver_ids)
         target = out / f"profile_{path.stem}.tsv"
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write("alpha\t" + "\t".join(f"rho_{s}" for s in table.solver_ids) + "\n")
-            for a_index, alpha in enumerate(curve.alphas):
-                row = "\t".join(repr(float(rho)) for rho in curve.rho[:, a_index])
-                handle.write(f"{float(alpha)!r}\t{row}\n")
+        save_profile_tsv(curve, target)
         if ratio.clamped_rows:
             print(f"{path.name}: zero-risk clamp applied on rows {list(ratio.clamped_rows)}")
         print(f"wrote {target.name}")
@@ -591,8 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_growth_flag(bench)
     bench.add_argument("--ita-delta", type=float, default=1e-2,
                        help="stage stop: epoch-to-epoch risk improvement floor")
-    bench.add_argument("--ita-delta-relative", action="store_true",
-                       help="scale the stage delta by the current risk")
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)
@@ -616,8 +590,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _load_config_defaults(parser, argv)
         args = parser.parse_args(argv)
-        if hasattr(args, "target_cols"):
-            args.target_cols = _parse_target_cols(args.target_cols)
+        target_cols = getattr(args, "target_cols", None)
+        if isinstance(target_cols, str) and not target_cols.startswith("last-"):
+            args.target_cols = _parse_list("--target-cols", target_cols, int)
         return args.func(args)
     except (UsageError, FileNotFoundError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

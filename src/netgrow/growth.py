@@ -5,7 +5,7 @@ Three ways to add neurons without changing the network function:
 * ``grow_inert``: new neurons get arbitrary biases and incoming weights but
   zero outgoing weights, so nothing downstream reads them.
 * ``grow_constant``: new neurons get zero incoming weights (their activation
-  is the constant ``g(bias)``) and arbitrary outgoing weights; the next
+  is the constant ``tanh(bias)``) and arbitrary outgoing weights; the next
   layer's biases are shifted to cancel the constant contribution.
 * ``grow_split``: an existing neuron is replicated and its outgoing weights
   are divided among the copies by shares that sum to one.
@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .net_core import TANH, ActivationFunction, ParamVector, Topology
+from .net_core import ParamVector, Topology
 
 __all__ = [
     "InertGrowth",
@@ -151,14 +151,14 @@ def grow_constant(
     layer: int,
     biases: np.ndarray,
     out_weights: np.ndarray,
-    activation: ActivationFunction = TANH,
 ) -> ParamVector:
     """Widen ``layer`` with constant neurons and compensate the next layer.
 
     Each new neuron has zero incoming weights, so its pre-activation is its
     bias for every input. The outgoing weights may be arbitrary because the
-    constant contribution ``out_weights @ g(biases)`` is subtracted from the
-    next layer's biases.
+    constant contribution ``out_weights @ tanh(biases)`` is subtracted from
+    the next layer's biases; the compensation is exact only for tanh hidden
+    units.
     """
     topology = theta.topology
     _check_hidden_layer(topology, layer)
@@ -177,7 +177,7 @@ def grow_constant(
     )
     b_next, w_next = arrays[layer]
     arrays[layer] = (
-        b_next - out_weights @ activation.value(biases),
+        b_next - out_weights @ np.tanh(biases),
         np.hstack([w_next, out_weights]),
     )
     return ParamVector.from_layer_arrays(_grown_topology(topology, layer, count), arrays)
@@ -224,12 +224,11 @@ def grow_split(
 def apply_growth(
     theta: ParamVector,
     spec: GrowthSpec,
-    activation: ActivationFunction = TANH,
 ) -> ParamVector:
     if isinstance(spec, InertGrowth):
         return grow_inert(theta, spec.layer, spec.biases, spec.in_weights)
     if isinstance(spec, ConstantGrowth):
-        return grow_constant(theta, spec.layer, spec.biases, spec.out_weights, activation)
+        return grow_constant(theta, spec.layer, spec.biases, spec.out_weights)
     if isinstance(spec, SplitGrowth):
         return grow_split(theta, spec.layer, spec.count, spec.source, spec.shares)
     raise TypeError(f"unknown growth spec {type(spec).__name__}")
@@ -248,6 +247,8 @@ def random_growth(
     random source neuron and equal shares ``1 / (count + 1)``.
     """
     _check_hidden_layer(topology, layer)
+    if count < 0:
+        raise ValueError("count must be >= 0")
     if kind == "inert":
         return InertGrowth(
             layer,
@@ -299,7 +300,6 @@ def apply_plan(
     *,
     rng: np.random.Generator | None = None,
     params: Sequence[GrowthSpec] | None = None,
-    activation: ActivationFunction = TANH,
 ) -> ParamVector:
     """Apply every step of ``plan``; parameters drawn from ``rng`` or given.
 
@@ -322,7 +322,7 @@ def apply_plan(
                     )
             else:
                 spec = random_growth(step.kind, current.topology, step.layer, step.count, rng)
-            current = apply_growth(current, spec, activation)
+            current = apply_growth(current, spec)
         except ValueError as exc:
             raise ValueError(f"plan step {index} ({step.kind} at layer {step.layer}): {exc}") from exc
     return current

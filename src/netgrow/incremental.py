@@ -10,22 +10,14 @@ fixed-width baseline is the same loop started at the target width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .autodiff import risk_and_gradient, risk_objective
 from .growth import apply_growth, random_growth
-from .net_core import (
-    MSE,
-    TANH,
-    ActivationFunction,
-    LossFunction,
-    ParamVector,
-    Topology,
-    param_count,
-)
+from .net_core import ParamVector, Topology, param_count
 from .optimizer import LbfgsConfig, lbfgs_minimize
 
 __all__ = [
@@ -47,16 +39,18 @@ class GrowthEscapeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ItaConfig:
-    """Knobs for incremental training.
+    """Knobs for incremental training of tanh networks under the MSE risk.
 
     ``growth`` is ``"double"`` (add as many neurons as the layer has), an int
     (fixed amount per stage), or a sequence of per-stage amounts (the last
     entry repeats). Intermediate stages stop once the gradient norm falls to
     ``intermediate_rel_grad_factor`` times its stage-start value or the risk
-    improves by less than ``intermediate_loss_delta`` between epochs; the
-    final stage runs at ``final_grad_tol``. ``total_epoch_budget`` caps the
-    epochs summed over all stages, leaving iterates untouched up to the cap
-    so budget-truncated runs are prefixes of longer ones.
+    improves by less than the absolute ``intermediate_loss_delta`` between
+    epochs; the final stage runs at ``final_grad_tol``. Every stage is one
+    default L-BFGS run capped at ``maxit_per_stage`` iterations.
+    ``total_epoch_budget`` caps the epochs summed over all stages, leaving
+    iterates untouched up to the cap so budget-truncated runs are prefixes of
+    longer ones.
     """
 
     initial_width: int = 10
@@ -64,14 +58,12 @@ class ItaConfig:
     growth: Union[str, int, Sequence[int]] = "double"
     intermediate_rel_grad_factor: float = 0.1
     intermediate_loss_delta: float = 1e-2
-    loss_delta_relative: bool = False
     final_grad_tol: float = 1e-6
     maxit_per_stage: int = 1000
     seed: int = 0
     embed_retry_limit: int = 10
     total_epoch_budget: Optional[int] = None
     stage_tolerances: Optional[tuple[float, ...]] = None
-    lbfgs: LbfgsConfig = field(default_factory=LbfgsConfig)
     initial_hidden_widths: Optional[tuple[int, ...]] = None
     experimental_multilayer: bool = False
 
@@ -175,7 +167,7 @@ class TrainRun:
                 }
 
 
-def _stage_hook(rel_factor: float, loss_delta: float, relative: bool):
+def _stage_hook(rel_factor: float, loss_delta: float):
     state: dict = {}
 
     def hook(iteration: int, x, f: float, g) -> bool:
@@ -188,8 +180,7 @@ def _stage_hook(rel_factor: float, loss_delta: float, relative: bool):
         state["prev_f"] = f
         if grad_norm <= rel_factor * state["start_grad"]:
             return True
-        threshold = loss_delta * (1.0 + abs(f)) if relative else loss_delta
-        return improved_by <= threshold
+        return improved_by <= loss_delta
 
     return hook
 
@@ -204,20 +195,14 @@ def _concat_traces(stages: Sequence[StageRecord]) -> tuple[tuple[float, ...], tu
     return tuple(loss_trace), tuple(grad_trace)
 
 
-def ita_train(
-    data,
-    cfg: ItaConfig,
-    *,
-    loss: LossFunction = MSE,
-    activation: ActivationFunction = TANH,
-) -> TrainRun:
+def ita_train(data, cfg: ItaConfig) -> TrainRun:
     """Train with progressive widening until every hidden layer reaches the cap.
 
     Each growth re-draws its uniform(0,1) parameters until the grown gradient
     norm clears the stage tolerance (the risk itself is asserted unchanged);
     :class:`GrowthEscapeError` is raised when the retries run out.
     """
-    return _train(data, cfg, "ita", loss, activation)
+    return _train(data, cfg, "ita")
 
 
 def standard_train(
@@ -227,9 +212,6 @@ def standard_train(
     tol: float = 1e-6,
     maxit: int = 1000,
     seed: int = 0,
-    loss: LossFunction = MSE,
-    activation: ActivationFunction = TANH,
-    lbfgs: LbfgsConfig | None = None,
 ) -> TrainRun:
     """Fixed-width baseline: one optimizer run from a uniform(0,1) start.
 
@@ -242,12 +224,11 @@ def standard_train(
         final_grad_tol=tol,
         maxit_per_stage=maxit,
         seed=seed,
-        lbfgs=lbfgs or LbfgsConfig(),
     )
-    return _train(data, cfg, "standard", loss, activation)
+    return _train(data, cfg, "standard")
 
 
-def _train(data, cfg: ItaConfig, solver: str, loss, activation) -> TrainRun:
+def _train(data, cfg: ItaConfig, solver: str) -> TrainRun:
     """Train stage by stage, widening between stages, and label the run ``solver``."""
     n, m = data.inputs.shape[1], data.targets.shape[1]
     widths = list(cfg.initial_hidden_widths or (cfg.initial_width,))
@@ -266,16 +247,13 @@ def _train(data, cfg: ItaConfig, solver: str, loss, activation) -> TrainRun:
         max_iter = cfg.maxit_per_stage
         if budget is not None:
             max_iter = min(max_iter, budget - epochs_used)
-        stage_cfg = replace(cfg.lbfgs, max_iter=max_iter, grad_tol_inf=cfg.final_grad_tol)
         hook = None if final_stage else _stage_hook(
-            cfg.intermediate_rel_grad_factor,
-            cfg.intermediate_loss_delta,
-            cfg.loss_delta_relative,
+            cfg.intermediate_rel_grad_factor, cfg.intermediate_loss_delta
         )
         result = lbfgs_minimize(
-            risk_objective(theta.topology, data, loss, activation),
+            risk_objective(theta.topology, data),
             theta.flat,
-            stage_cfg,
+            LbfgsConfig(max_iter=max_iter, grad_tol_inf=cfg.final_grad_tol),
             stop_hook=hook,
         )
         theta = ParamVector(theta.topology, result.theta)
@@ -308,7 +286,7 @@ def _train(data, cfg: ItaConfig, solver: str, loss, activation) -> TrainRun:
         else:
             escape_tol = min(result.grad_norm_final, cfg.final_grad_tol)
         theta = _grow_stage(
-            theta, widths, cfg, rng, data, loss, activation,
+            theta, widths, cfg, rng, data,
             stage_index=stage_index,
             stage_end_risk=result.f_final,
             stage_tol=escape_tol,
@@ -332,8 +310,6 @@ def _grow_stage(
     cfg: ItaConfig,
     rng: np.random.Generator,
     data,
-    loss,
-    activation,
     *,
     stage_index: int,
     stage_end_risk: float,
@@ -352,8 +328,8 @@ def _grow_stage(
         for position, amount in enumerate(grow_amounts):
             if amount:
                 spec = random_growth("inert", candidate.topology, position + 1, amount, rng)
-                candidate = apply_growth(candidate, spec, activation)
-        risk, grad = risk_and_gradient(candidate, data, loss, activation)
+                candidate = apply_growth(candidate, spec)
+        risk, grad = risk_and_gradient(candidate, data)
         if abs(risk - stage_end_risk) > RISK_CONTINUITY_RTOL * (1.0 + abs(stage_end_risk)):
             raise RuntimeError(
                 f"growth changed the risk: {stage_end_risk!r} -> {risk!r}"

@@ -72,6 +72,8 @@ def load_model_text(path) -> ParamVector:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty model file")
-    topology = Topology(tuple(int(s) for s in lines[0].split()))
-    flat = np.array([float(v) for v in lines[1:] if v.strip()])
-    return ParamVector(topology, flat)
+    try:
+        topology = Topology(tuple(int(s) for s in lines[0].split()))
+        return ParamVector(topology, np.array([float(v) for v in lines[1:] if v.strip()]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,5 +1,10 @@
 """Dense feedforward networks with linear outputs and a flat parameter layout.
 
+The networks are tanh hidden layers under a linear output layer, and the
+empirical risk is the mean-squared error (:data:`MSE`). The forward pass and
+the risk take an ``activation`` so that tests can use :data:`IDENTITY` as a
+linear-network oracle; every layer above the gradient assumes tanh.
+
 All parameters live in one flat float64 vector. For each layer (layer 1 maps
 the inputs into the first hidden layer, layer ``depth`` produces the outputs)
 the block holds, neuron by neuron, the bias followed by that neuron's incoming
@@ -203,8 +208,7 @@ class LossFunction:
 
     ``value(y, f)`` maps ``(..., m)`` arrays to ``(...,)`` losses;
     ``derivative_per_output(y, f)`` returns the partial with respect to each
-    model output, same shape as ``f``. Custom losses must be vectorized over
-    leading axes.
+    model output, same shape as ``f``.
     """
 
     name: str
@@ -290,10 +294,9 @@ def forward(
 def empirical_risk(
     theta: ParamVector,
     data,
-    loss: LossFunction = MSE,
     activation: ActivationFunction = TANH,
 ) -> float:
-    """Average loss of the network over a dataset (needs ``.inputs``/``.targets``)."""
+    """Mean-squared error of the network over a dataset (needs ``.inputs``/``.targets``)."""
     inputs = np.asarray(data.inputs, dtype=np.float64)
     targets = np.asarray(data.targets, dtype=np.float64)
     if inputs.shape[0] == 0:
@@ -304,4 +307,4 @@ def empirical_risk(
             f"{theta.topology.n_outputs}), got {targets.shape}"
         )
     outputs = forward_batch(theta, inputs, activation)[-1]
-    return float(np.mean(loss.value(targets, outputs)))
+    return float(np.mean(MSE.value(targets, outputs)))

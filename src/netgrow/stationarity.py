@@ -27,7 +27,7 @@ from .growth import (
     growth_label,
     random_growth,
 )
-from .net_core import MSE, TANH, ActivationFunction, LossFunction, ParamVector, Topology, param_count
+from .net_core import TANH, ActivationFunction, ParamVector, Topology, param_count
 from .optimizer import LbfgsConfig, lbfgs_minimize
 
 __all__ = [
@@ -86,7 +86,6 @@ def find_stationary_point(
     topology: Topology,
     data,
     *,
-    loss: LossFunction = MSE,
     activation: ActivationFunction = TANH,
     tol: float = 1e-8,
     max_iter: int = 2000,
@@ -102,7 +101,7 @@ def find_stationary_point(
     rng = np.random.default_rng(seed)
     start = rng.uniform(0.0, 1.0, param_count(topology))
     result = lbfgs_minimize(
-        risk_objective(topology, data, loss, activation),
+        risk_objective(topology, data, activation),
         start,
         LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter),
     )
@@ -111,26 +110,19 @@ def find_stationary_point(
     return ParamVector(topology, result.theta)
 
 
-def _grow(theta, growth, rng, activation):
-    if isinstance(growth, GrowthPlan):
-        return apply_plan(theta, growth, rng=rng, activation=activation)
-    return apply_growth(theta, growth, activation)
-
-
 def verify_loss_invariance(
     theta: ParamVector,
     data,
     growth: GrowthSpec | GrowthPlan,
     *,
-    loss: LossFunction = MSE,
-    activation: ActivationFunction = TANH,
     rng: np.random.Generator | None = None,
 ) -> StationarityReport:
     """Check that growing leaves the empirical risk unchanged at ``theta``."""
-    grown = _grow(theta, growth, rng, activation)
-    return risk_gap_report(
-        theta, grown, data, growth_label(growth), loss=loss, activation=activation
-    )
+    if isinstance(growth, GrowthPlan):
+        grown = apply_plan(theta, growth, rng=rng)
+    else:
+        grown = apply_growth(theta, growth)
+    return risk_gap_report(theta, grown, data, growth_label(growth))
 
 
 def risk_gap_report(
@@ -138,13 +130,10 @@ def risk_gap_report(
     grown: ParamVector,
     data,
     map_label: str,
-    *,
-    loss: LossFunction = MSE,
-    activation: ActivationFunction = TANH,
 ) -> StationarityReport:
     """Risk check of ``grown`` against ``theta``: the risks must agree to ``RISK_GAP_RTOL``."""
-    source_risk, source_grad = risk_and_gradient(theta, data, loss, activation)
-    grown_risk, grown_grad = risk_and_gradient(grown, data, loss, activation)
+    source_risk, source_grad = risk_and_gradient(theta, data)
+    grown_risk, grown_grad = risk_and_gradient(grown, data)
     gap = abs(grown_risk - source_risk)
     return StationarityReport(
         check="risk",
@@ -197,8 +186,6 @@ def verify_stationarity_transfer(
     data,
     growth: GrowthSpec | GrowthPlan | Sequence[GrowthSpec],
     *,
-    loss: LossFunction = MSE,
-    activation: ActivationFunction = TANH,
     rng: np.random.Generator | None = None,
     allow_escape_maps: bool = False,
 ) -> StationarityReport:
@@ -237,13 +224,11 @@ def verify_stationarity_transfer(
 
     grown = theta
     for spec in specs:
-        grown = apply_growth(grown, spec, activation)
+        grown = apply_growth(grown, spec)
     label = specs[0] if len(specs) == 1 else GrowthPlan(
         tuple(GrowthStep(s.kind, s.layer, s.count) for s in specs)
     )
-    report = risk_gap_report(
-        theta, grown, data, growth_label(label), loss=loss, activation=activation
-    )
+    report = risk_gap_report(theta, grown, data, growth_label(label))
     bound = TRANSFER_SLACK * max(report.source_grad_norm, TRANSFER_FLOOR)
     return replace(report, check="gradient", passed=report.embedded_grad_norm <= bound)
 
@@ -257,8 +242,6 @@ def escape_rate(
     draws: int = 50,
     threshold: float = 1e-3,
     seed: int = 0,
-    loss: LossFunction = MSE,
-    activation: ActivationFunction = TANH,
 ) -> float:
     """Fraction of random inert growths whose gradient norm exceeds ``threshold``.
 
@@ -269,8 +252,8 @@ def escape_rate(
     hits = 0
     for _ in range(draws):
         spec = random_growth("inert", theta.topology, layer, count, rng)
-        grown = apply_growth(theta, spec, activation)
-        _, grad = risk_and_gradient(grown, data, loss, activation)
+        grown = apply_growth(theta, spec)
+        _, grad = risk_and_gradient(grown, data)
         if grad_norm_inf(grad) > threshold:
             hits += 1
     return hits / draws
