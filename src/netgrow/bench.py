@@ -248,7 +248,7 @@ def performance_profile(ratios, alphas) -> ProfileCurve:
     if matrix.size == 0:
         raise ValueError("empty ratio matrix")
     alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.size == 0 or np.any(alphas < 1.0) or np.any(np.diff(alphas) <= 0):
+    if alphas.size == 0 or not (np.all(alphas >= 1.0) and np.all(np.diff(alphas) > 0)):
         raise ValueError("alphas must be increasing and >= 1")
     n_problems, n_solvers = matrix.shape
     rho = np.empty((n_solvers, alphas.size))

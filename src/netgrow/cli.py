@@ -37,7 +37,6 @@ from .data import Dataset, ParseError, load_delimited, make_synthetic, standardi
 from .growth import (
     GrowthPlan,
     GrowthStep,
-    SplitGrowth,
     apply_growth,
     random_growth,
 )
@@ -56,14 +55,7 @@ from .stationarity import (
 __all__ = ["main"]
 
 # Accept the literature's greek names for the maps as aliases.
-_MAP_ALIASES = {
-    "alpha": "inert",
-    "beta": "constant",
-    "gamma": "split",
-    "inert": "inert",
-    "constant": "constant",
-    "split": "split",
-}
+_MAP_ALIASES = {"alpha": "inert", "beta": "constant", "gamma": "split"}
 
 
 class UsageError(Exception):
@@ -127,6 +119,11 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> l
     subparsers = getattr(parser, "subcommand_parsers", {})
     if command not in subparsers:
         raise UsageError("--config needs a subcommand to apply to")
+    # A config.json written by a command echoes "command" and "config" too.
+    echoed = payload.pop("command", command)
+    if echoed != command:
+        raise UsageError(f"config file {path} is for the {echoed!r} command, not {command!r}")
+    payload.pop("config", None)
     sub = subparsers[command]
     known = {action.dest for action in sub._actions}
     unknown = set(payload) - known
@@ -136,6 +133,9 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> l
         )
     sub.set_defaults(**payload)
     return argv
+
+
+_SYNTH_KEYS = ("n", "m", "P", "samples", "noise", "seed", "width", "name")
 
 
 def _parse_synth_spec(text: str) -> Dataset:
@@ -149,8 +149,11 @@ def _parse_synth_spec(text: str) -> Dataset:
         for item in parts[2].split(","):
             if "=" not in item:
                 raise UsageError(f"bad synthetic option {item!r} in {text!r}")
-            key, value = item.split("=", 1)
-            options[key.strip()] = value.strip()
+            key, value = (part.strip() for part in item.split("=", 1))
+            if key not in _SYNTH_KEYS:
+                raise UsageError(f"unknown synthetic option {key!r} in {text!r} "
+                                 f"(valid: {', '.join(_SYNTH_KEYS)})")
+            options[key] = value
     try:
         return make_synthetic(
             kind,
@@ -185,7 +188,6 @@ def _resolve_dataset(args, spec: str | None = None) -> Dataset:
 
 
 def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--data", help="dataset file or synth:kind:k=v,... spec")
     sub.add_argument("--has-header", action="store_true", help="skip the first line")
     sub.add_argument("--delimiter", default=",")
     sub.add_argument(
@@ -261,16 +263,17 @@ def cmd_ita(args) -> int:
 
 def cmd_embed(args) -> int:
     theta = model_io.load_model(args.model)
-    kind = _MAP_ALIASES.get(args.map)
-    if kind is None:
-        raise UsageError(f"unknown --map {args.map!r}")
-    rng = np.random.default_rng(args.seed)
-    if kind == "split" and args.shares:
-        shares = np.array(_parse_list("--shares", args.shares, float))
-        source = args.source if args.source is not None else int(rng.integers(theta.topology.size(args.layer)))
-        spec = SplitGrowth(args.layer, shares.size - 1, source, shares)
-    else:
-        spec = random_growth(kind, theta.topology, args.layer, args.count, rng)
+    kind = _MAP_ALIASES.get(args.map, args.map)
+    if kind != "split" and (args.shares or args.source is not None):
+        raise UsageError(f"--shares and --source apply only to --map split, not {args.map!r}")
+    # Given shares fix the copy count; given shares and source replace the drawn ones.
+    shares = np.array(_parse_list("--shares", args.shares, float)) if args.shares else None
+    count = args.count if shares is None else shares.size - 1
+    spec = random_growth(kind, theta.topology, args.layer, count, np.random.default_rng(args.seed))
+    if shares is not None:
+        spec = replace(spec, shares=shares)
+    if args.source is not None:
+        spec = replace(spec, source=args.source)
     grown = apply_growth(theta, spec)
     model_io.save_model(grown, Path(args.out_model))
     print(
@@ -506,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     train = commands.add_parser("train", help="fixed-width training baseline")
+    train.add_argument("--data", help="dataset file or synth:kind:k=v,... spec")
     _add_data_flags(train)
     train.add_argument("--hidden", type=int, default=100)
     train.add_argument("--tol", type=float, default=1e-6)
@@ -515,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=cmd_train)
 
     ita = commands.add_parser("ita", help="incremental training (grow the hidden layer)")
+    ita.add_argument("--data", help="dataset file or synth:kind:k=v,... spec")
     _add_data_flags(ita)
     ita.add_argument("--h0", type=int, default=10, help="starting hidden width")
     ita.add_argument("--hmax", type=int, default=100, help="target hidden width")
@@ -538,6 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     embed.set_defaults(func=cmd_embed)
 
     verify = commands.add_parser("verify", help="certify growth-map guarantees")
+    verify.add_argument("--data", help="dataset file or synth:kind:k=v,... spec")
     _add_data_flags(verify)
     verify.add_argument("--model", default=None,
                         help="check a saved model instead of random networks")

@@ -1,14 +1,15 @@
 """Function-preserving maps that widen a hidden layer by K neurons.
 
-Three ways to add neurons without changing the network function:
+Each map appends K ``[bias | incoming weights]`` rows to layer l's block of
+the flat layout (:mod:`netgrow.net_core`) and K columns to layer l + 1's:
 
-* ``grow_inert``: new neurons get arbitrary biases and incoming weights but
-  zero outgoing weights, so nothing downstream reads them.
-* ``grow_constant``: new neurons get zero incoming weights (their activation
-  is the constant ``tanh(bias)``) and arbitrary outgoing weights; the next
-  layer's biases are shifted to cancel the constant contribution.
-* ``grow_split``: an existing neuron is replicated and its outgoing weights
-  are divided among the copies by shares that sum to one.
+* ``grow_inert``: arbitrary rows and zero columns, so nothing downstream
+  reads the new neurons.
+* ``grow_constant``: rows with zero incoming weights (the activation is the
+  constant ``tanh(bias)``) and arbitrary columns; layer l + 1's biases are
+  shifted to cancel the constant contribution.
+* ``grow_split``: rows copied from an existing neuron, whose outgoing column
+  is divided among the copies by shares that sum to one (Net2WiderNet).
 
 ``grow_constant`` with zero outgoing weights and ``grow_split`` also preserve
 stationarity of the risk; ``grow_inert`` with nonzero weights generically does
@@ -55,12 +56,6 @@ def _check_hidden_layer(topology: Topology, layer: int) -> None:
         raise ValueError(
             f"layer {layer} is not a hidden layer (valid: 1..{topology.depth - 1})"
         )
-
-
-def _grown_topology(topology: Topology, layer: int, count: int) -> Topology:
-    sizes = list(topology.layer_sizes)
-    sizes[layer] += count
-    return Topology(tuple(sizes))
 
 
 def added_param_count(topology: Topology, layer: int, count: int) -> int:
@@ -122,6 +117,16 @@ class SplitGrowth:
 GrowthSpec = Union[InertGrowth, ConstantGrowth, SplitGrowth]
 
 
+def _widen(theta: ParamVector, layer: int, rows: np.ndarray, upper: np.ndarray) -> ParamVector:
+    """Stack the new ``rows`` under block ``layer`` and replace block ``layer + 1`` by ``upper``."""
+    blocks = theta.layer_blocks()
+    blocks[layer - 1] = np.vstack([blocks[layer - 1], rows])
+    blocks[layer] = upper
+    sizes = list(theta.topology.layer_sizes)
+    sizes[layer] += rows.shape[0]
+    return ParamVector(Topology(tuple(sizes)), np.concatenate([block.ravel() for block in blocks]))
+
+
 def grow_inert(
     theta: ParamVector,
     layer: int,
@@ -138,12 +143,9 @@ def grow_inert(
     if count == 0:
         return theta
 
-    arrays = theta.layer_arrays()
-    b, w = arrays[layer - 1]
-    arrays[layer - 1] = (np.concatenate([b, biases]), np.vstack([w, in_weights]))
-    b_next, w_next = arrays[layer]
-    arrays[layer] = (b_next, np.hstack([w_next, np.zeros((w_next.shape[0], count))]))
-    return ParamVector.from_layer_arrays(_grown_topology(topology, layer, count), arrays)
+    upper = theta.layer_blocks()[layer]
+    rows = np.hstack([biases[:, None], in_weights])
+    return _widen(theta, layer, rows, np.hstack([upper, np.zeros((upper.shape[0], count))]))
 
 
 def grow_constant(
@@ -169,18 +171,10 @@ def grow_constant(
     if count == 0:
         return theta
 
-    arrays = theta.layer_arrays()
-    b, w = arrays[layer - 1]
-    arrays[layer - 1] = (
-        np.concatenate([b, biases]),
-        np.vstack([w, np.zeros((count, topology.size(layer - 1)))]),
-    )
-    b_next, w_next = arrays[layer]
-    arrays[layer] = (
-        b_next - out_weights @ np.tanh(biases),
-        np.hstack([w_next, out_weights]),
-    )
-    return ParamVector.from_layer_arrays(_grown_topology(topology, layer, count), arrays)
+    upper = theta.layer_blocks()[layer]
+    rows = np.hstack([biases[:, None], np.zeros((count, topology.size(layer - 1)))])
+    shifted = upper[:, 0] - out_weights @ np.tanh(biases)
+    return _widen(theta, layer, rows, np.hstack([shifted[:, None], upper[:, 1:], out_weights]))
 
 
 def grow_split(
@@ -207,18 +201,12 @@ def grow_split(
         # A lone share of 1 leaves the source untouched.
         return theta
 
-    arrays = theta.layer_arrays()
-    b, w = arrays[layer - 1]
-    arrays[layer - 1] = (
-        np.concatenate([b, np.repeat(b[source], count)]),
-        np.vstack([w, np.tile(w[source], (count, 1))]),
-    )
-    b_next, w_next = arrays[layer]
-    col = w_next[:, source].copy()
-    w_grown = np.hstack([w_next, col[:, None] * shares[1:][None, :]])
-    w_grown[:, source] = shares[0] * col
-    arrays[layer] = (b_next, w_grown)
-    return ParamVector.from_layer_arrays(_grown_topology(topology, layer, count), arrays)
+    blocks = theta.layer_blocks()
+    # Column 0 of the next block holds its biases, so neuron j is column 1 + j.
+    col = blocks[layer][:, 1 + source]
+    upper = np.hstack([blocks[layer], col[:, None] * shares[1:][None, :]])
+    upper[:, 1 + source] = shares[0] * col
+    return _widen(theta, layer, np.tile(blocks[layer - 1][source], (count, 1)), upper)
 
 
 def apply_growth(

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .autodiff import risk_and_gradient, risk_objective
-from .growth import apply_growth, random_growth
+from .growth import GrowthPlan, GrowthStep, apply_plan
 from .net_core import ParamVector, Topology, param_count
 from .optimizer import LbfgsConfig, lbfgs_minimize
 
@@ -41,13 +41,13 @@ class GrowthEscapeError(RuntimeError):
 class ItaConfig:
     """Knobs for incremental training of tanh networks under the MSE risk.
 
-    ``growth`` is ``"double"`` (add as many neurons as the layer has), an int
-    (fixed amount per stage), or a sequence of per-stage amounts (the last
-    entry repeats). Intermediate stages stop once the gradient norm falls to
-    ``intermediate_rel_grad_factor`` times its stage-start value or the risk
-    improves by less than the absolute ``intermediate_loss_delta`` between
-    epochs; the final stage runs at ``final_grad_tol``. Every stage is one
-    default L-BFGS run capped at ``maxit_per_stage`` iterations.
+    ``growth`` is ``"double"`` (add as many neurons as the layer has), or
+    per-stage amounts whose last entry repeats (an int is stored as a
+    one-entry schedule). Intermediate stages stop once the gradient norm
+    falls to ``intermediate_rel_grad_factor`` times its stage-start value or
+    the risk improves by less than the absolute ``intermediate_loss_delta``
+    between epochs; the final stage runs at ``final_grad_tol``. Every stage
+    is one default L-BFGS run capped at ``maxit_per_stage`` iterations.
     ``total_epoch_budget`` caps the epochs summed over all stages, leaving
     iterates untouched up to the cap so budget-truncated runs are prefixes of
     longer ones.
@@ -88,11 +88,9 @@ class ItaConfig:
         if isinstance(self.growth, str):
             if self.growth != "double":
                 raise ValueError(f"unknown growth rule {self.growth!r}")
-        elif isinstance(self.growth, int):
-            if self.growth < 1:
-                raise ValueError("fixed growth must add at least one neuron")
         else:
-            amounts = tuple(int(k) for k in self.growth)
+            growth = (self.growth,) if isinstance(self.growth, int) else self.growth
+            amounts = tuple(int(k) for k in growth)
             object.__setattr__(self, "growth", amounts)
             if not amounts or any(k < 1 for k in amounts):
                 raise ValueError("growth schedule entries must be >= 1")
@@ -116,8 +114,6 @@ class ItaConfig:
     def growth_amount(self, stage: int, width: int) -> int:
         if self.growth == "double":
             return width
-        if isinstance(self.growth, int):
-            return self.growth
         return self.growth[min(stage, len(self.growth) - 1)]
 
 
@@ -231,10 +227,9 @@ def standard_train(
 def _train(data, cfg: ItaConfig, solver: str) -> TrainRun:
     """Train stage by stage, widening between stages, and label the run ``solver``."""
     n, m = data.inputs.shape[1], data.targets.shape[1]
-    widths = list(cfg.initial_hidden_widths or (cfg.initial_width,))
     rng = np.random.default_rng(cfg.seed)
 
-    topology = Topology((n, *widths, m))
+    topology = Topology((n, *(cfg.initial_hidden_widths or (cfg.initial_width,)), m))
     theta = ParamVector(topology, rng.uniform(0.0, 1.0, param_count(topology)))
 
     budget = cfg.total_epoch_budget
@@ -243,6 +238,7 @@ def _train(data, cfg: ItaConfig, solver: str) -> TrainRun:
     stage_index = 0
 
     while True:
+        widths = theta.topology.layer_sizes[1:-1]
         final_stage = all(w >= cfg.max_width for w in widths)
         max_iter = cfg.maxit_per_stage
         if budget is not None:
@@ -260,7 +256,7 @@ def _train(data, cfg: ItaConfig, solver: str) -> TrainRun:
         epochs_used += result.iterations
         stages.append(
             StageRecord(
-                widths=tuple(widths),
+                widths=widths,
                 start_risk=result.f_history[0],
                 end_risk=result.f_final,
                 end_grad_norm=result.grad_norm_final,
@@ -286,7 +282,7 @@ def _train(data, cfg: ItaConfig, solver: str) -> TrainRun:
         else:
             escape_tol = min(result.grad_norm_final, cfg.final_grad_tol)
         theta = _grow_stage(
-            theta, widths, cfg, rng, data,
+            theta, cfg, rng, data,
             stage_index=stage_index,
             stage_end_risk=result.f_final,
             stage_tol=escape_tol,
@@ -306,7 +302,6 @@ def _train(data, cfg: ItaConfig, solver: str) -> TrainRun:
 
 def _grow_stage(
     theta: ParamVector,
-    widths: list[int],
     cfg: ItaConfig,
     rng: np.random.Generator,
     data,
@@ -316,29 +311,24 @@ def _grow_stage(
     stage_tol: float,
 ) -> ParamVector:
     """Widen every growable hidden layer, retrying draws until the gradient wakes."""
-    grow_amounts = []
-    for position, width in enumerate(widths):
+    steps = []
+    for layer, width in enumerate(theta.topology.layer_sizes[1:-1], start=1):
         amount = min(cfg.growth_amount(stage_index, width), cfg.max_width - width)
-        grow_amounts.append(max(amount, 0))
-    if not any(grow_amounts):
+        if amount > 0:
+            steps.append(GrowthStep("inert", layer, amount))
+    if not steps:
         raise RuntimeError("growth step requested but every layer is at max width")
+    plan = GrowthPlan(tuple(steps))
 
     for _ in range(cfg.embed_retry_limit):
-        candidate = theta
-        for position, amount in enumerate(grow_amounts):
-            if amount:
-                spec = random_growth("inert", candidate.topology, position + 1, amount, rng)
-                candidate = apply_growth(candidate, spec)
+        candidate = apply_plan(theta, plan, rng=rng)
         risk, grad = risk_and_gradient(candidate, data)
         if abs(risk - stage_end_risk) > RISK_CONTINUITY_RTOL * (1.0 + abs(stage_end_risk)):
             raise RuntimeError(
                 f"growth changed the risk: {stage_end_risk!r} -> {risk!r}"
             )
         if float(np.max(np.abs(grad))) > stage_tol:
-            for position, amount in enumerate(grow_amounts):
-                widths[position] += amount
             return candidate
     raise GrowthEscapeError(
         f"{cfg.embed_retry_limit} growth draws left the gradient below {stage_tol:.3e}"
     )
-

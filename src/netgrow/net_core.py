@@ -8,8 +8,9 @@ linear-network oracle; every layer above the gradient assumes tanh.
 All parameters live in one flat float64 vector. For each layer (layer 1 maps
 the inputs into the first hidden layer, layer ``depth`` produces the outputs)
 the block holds, neuron by neuron, the bias followed by that neuron's incoming
-weight row. Keeping the layout this regular makes network surgery (adding
-neurons in :mod:`netgrow.growth`) pure index arithmetic.
+weight row, so :meth:`ParamVector.layer_blocks` sees it as an
+``(H, 1 + H_prev)`` matrix. Adding neurons to layer l (:mod:`netgrow.growth`)
+appends rows to block l and columns to block l + 1; no other block changes.
 """
 
 from __future__ import annotations
@@ -83,18 +84,6 @@ def param_count(topology: Topology) -> int:
     return weights + biases
 
 
-def _layer_blocks(topology: Topology) -> list[tuple[int, int, int]]:
-    """Per layer: (flat offset, neuron count, incoming width)."""
-    blocks = []
-    offset = 0
-    sizes = topology.layer_sizes
-    for layer in range(1, topology.depth + 1):
-        h, h_prev = sizes[layer], sizes[layer - 1]
-        blocks.append((offset, h, h_prev))
-        offset += h * (1 + h_prev)
-    return blocks
-
-
 @dataclass(frozen=True, eq=False)
 class ParamVector:
     """A flat parameter vector bound to its topology.
@@ -147,34 +136,37 @@ class ParamVector:
             parts.append(np.hstack([b[:, None], w]).ravel())
         return cls(topology, np.concatenate(parts) if parts else np.zeros(0))
 
+    def layer_blocks(self) -> list[np.ndarray]:
+        """Per layer ``(H, 1 + H_prev)`` views of the flat vector: bias column, then weights."""
+        blocks, offset = [], 0
+        sizes = self.topology.layer_sizes
+        for h_prev, h in zip(sizes, sizes[1:]):
+            blocks.append(self.flat[offset : offset + h * (1 + h_prev)].reshape(h, 1 + h_prev))
+            offset += h * (1 + h_prev)
+        return blocks
+
     def layer_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per layer ``(biases (H,), weights (H, H_prev))`` views of the flat vector."""
-        out = []
-        for offset, h, h_prev in _layer_blocks(self.topology):
-            block = self.flat[offset : offset + h * (1 + h_prev)].reshape(h, 1 + h_prev)
-            out.append((block[:, 0], block[:, 1:]))
-        return out
+        return [(block[:, 0], block[:, 1:]) for block in self.layer_blocks()]
 
     def get_bias(self, layer: int, neuron: int) -> float:
         """Bias of ``neuron`` (0-based) in ``layer`` (1-based, 1 = first hidden)."""
-        offset, h, h_prev = self._block(layer)
-        if not 0 <= neuron < h:
-            raise ValueError(f"neuron {neuron} out of range for layer {layer}")
-        return float(self.flat[offset + neuron * (1 + h_prev)])
+        return float(self._block(layer, neuron)[neuron, 0])
 
     def get_weight(self, layer: int, neuron: int, source: int) -> float:
         """Weight into ``neuron`` of ``layer`` from ``source`` in the layer below."""
-        offset, h, h_prev = self._block(layer)
-        if not 0 <= neuron < h:
-            raise ValueError(f"neuron {neuron} out of range for layer {layer}")
-        if not 0 <= source < h_prev:
+        block = self._block(layer, neuron)
+        if not 0 <= source < block.shape[1] - 1:
             raise ValueError(f"source {source} out of range for layer {layer - 1}")
-        return float(self.flat[offset + neuron * (1 + h_prev) + 1 + source])
+        return float(block[neuron, 1 + source])
 
-    def _block(self, layer: int) -> tuple[int, int, int]:
+    def _block(self, layer: int, neuron: int) -> np.ndarray:
         if not 1 <= layer <= self.topology.depth:
             raise ValueError(f"layer {layer} out of range 1..{self.topology.depth}")
-        return _layer_blocks(self.topology)[layer - 1]
+        block = self.layer_blocks()[layer - 1]
+        if not 0 <= neuron < block.shape[0]:
+            raise ValueError(f"neuron {neuron} out of range for layer {layer}")
+        return block
 
 
 @dataclass(frozen=True, eq=False)

@@ -199,17 +199,15 @@ def verify_stationarity_transfer(
     if isinstance(growth, GrowthPlan):
         if rng is None:
             raise ValueError("a plan needs an rng to draw its parameters")
-        specs = []
+        plan, specs = growth, []
         sizes = list(theta.topology.layer_sizes)
-        for step in growth.steps:
-            topo_now = Topology(tuple(sizes))
-            if step.kind == "inert" and allow_escape_maps:
-                specs.append(random_growth(step.kind, topo_now, step.layer, step.count, rng))
-            else:
-                specs.append(transfer_safe_spec(step.kind, topo_now, step.layer, step.count, rng))
+        for step in plan.steps:
+            draw = random_growth if step.kind == "inert" and allow_escape_maps else transfer_safe_spec
+            specs.append(draw(step.kind, Topology(tuple(sizes)), step.layer, step.count, rng))
             sizes[step.layer] += step.count
     else:
         specs = list(growth) if isinstance(growth, (list, tuple)) else [growth]
+        plan = GrowthPlan(tuple(GrowthStep(s.kind, s.layer, s.count) for s in specs))
     if not allow_escape_maps:
         bad = [growth_label(s) for s in specs if not _transfer_safe(s)]
         if bad:
@@ -218,16 +216,9 @@ def verify_stationarity_transfer(
                 "constant growth with zero outgoing weights (or set "
                 "allow_escape_maps for a negative test)"
             )
-    layers = [s.layer for s in specs]
-    if len(set(layers)) != len(layers):
-        raise ValueError(f"chained growth layers must be distinct, got {layers}")
 
-    grown = theta
-    for spec in specs:
-        grown = apply_growth(grown, spec)
-    label = specs[0] if len(specs) == 1 else GrowthPlan(
-        tuple(GrowthStep(s.kind, s.layer, s.count) for s in specs)
-    )
+    grown = apply_plan(theta, plan, params=specs)
+    label = specs[0] if len(specs) == 1 else plan
     report = risk_gap_report(theta, grown, data, growth_label(label))
     bound = TRANSFER_SLACK * max(report.source_grad_norm, TRANSFER_FLOOR)
     return replace(report, check="gradient", passed=report.embedded_grad_norm <= bound)
