@@ -6,6 +6,13 @@ the loss with respect to one layer's pre-activations, from the outputs down
 to the first hidden layer; each layer's bias and weight partials are then
 ``u`` summed over the samples and ``u`` against the incoming signal. A
 central finite difference oracle is included for testing.
+
+Per layer ``l`` with ``H_{l-1}`` inputs and ``H_l`` neurons, the sweep costs
+two ``P x H_{l-1} x H_l`` matrix products: the weight partial
+``u.T @ signal`` and the step ``u = (u @ W) * slope`` down to the layer
+below, where the slope is taken from the forward pass's activation values.
+No ``P * H**2`` temporary is built, so memory stays at the ``(P, H)``
+signals of the forward pass.
 """
 
 from __future__ import annotations
@@ -58,10 +65,10 @@ def risk_and_gradient(
     grads = []
     for layer in range(depth, 0, -1):
         if layer < depth:
-            slope = activation.derivative(pre[layer - 1])
-            u = np.einsum("pr,prj->pj", u, layers[layer][1][None, :, :] * slope[:, None, :])
+            # signals[layer] holds this layer's activation values.
+            u = (u @ layers[layer][1]) * activation.derivative_from_value(signals[layer])
         grad_b = u.sum(axis=0) / n_samples
-        grad_w = np.einsum("pj,pi->ji", u, signals[layer - 1]) / n_samples
+        grad_w = (u.T @ signals[layer - 1]) / n_samples
         grads.append((grad_b, grad_w))
 
     flat = ParamVector.from_layer_arrays(topology, grads[::-1]).flat

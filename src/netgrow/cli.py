@@ -98,6 +98,19 @@ def _parse_list(flag: str, text, kind=str) -> list:
     return values
 
 
+class _RepeatableFlag(argparse.Action):
+    """A repeatable flag whose command-line values replace its default list.
+
+    ``action="append"`` would add them to the default, so a list from
+    ``--config`` would be extended instead of overridden.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        items = [] if items is self.default else items
+        setattr(namespace, self.dest, [*items, values])
+
+
 def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Apply --config JSON values as subcommand defaults; flags still override."""
     if "--config" not in argv:
@@ -422,7 +435,6 @@ def _check_jobs(jobs: int) -> None:
 
 
 def cmd_bench(args) -> int:
-    out = _out_dir(args)
     if not args.problem:
         raise UsageError("give at least one --problem")
     _check_jobs(args.jobs)
@@ -449,6 +461,7 @@ def cmd_bench(args) -> int:
             )
         else:
             raise UsageError(f"unknown solver {name!r} (use standard, ita)")
+    out = _out_dir(args)
     result = run_benchmark(
         problems,
         solvers,
@@ -479,6 +492,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    if not args.table:
+        raise UsageError("give at least one --table")
     out = _out_dir(args)
     alphas = np.array(_parse_list("--alphas", args.alphas, float))
     if alphas.size == 1:
@@ -561,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser("bench", help="multi-problem solver sweep")
     _add_data_flags(bench)
-    bench.add_argument("--problem", action="append", default=[],
+    bench.add_argument("--problem", action=_RepeatableFlag, default=[],
                        help="dataset file or synth spec; repeatable")
     bench.add_argument("--solvers", default="standard,ita")
     bench.add_argument("--replicas", type=int, default=10)
@@ -579,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     profile = commands.add_parser("profile", help="performance profiles from tables")
-    profile.add_argument("--table", action="append", required=True,
+    profile.add_argument("--table", action=_RepeatableFlag, default=[],
                          help="results table written by bench; repeatable")
     profile.add_argument("--alphas", default="10.0",
                          help="grid end (step 0.05) or explicit comma list")

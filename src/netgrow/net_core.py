@@ -171,15 +171,25 @@ class ParamVector:
 
 @dataclass(frozen=True, eq=False)
 class ActivationFunction:
-    """Elementwise activation with its derivative, both numpy-vectorized."""
+    """Elementwise activation with its derivative, both numpy-vectorized.
+
+    ``derivative(t)`` takes the pre-activation; ``derivative_from_value(z)``
+    takes the activation's value ``z = value(t)`` and returns the same slope
+    without evaluating ``value`` again.
+    """
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
+    derivative_from_value: Callable[[np.ndarray], np.ndarray]
+
+
+def _tanh_derivative_from_value(z: np.ndarray) -> np.ndarray:
+    return 1.0 - z * z
 
 
 def _tanh_derivative(t: np.ndarray) -> np.ndarray:
-    return 1.0 - np.tanh(t) ** 2
+    return _tanh_derivative_from_value(np.tanh(t))
 
 
 def _identity_value(t: np.ndarray) -> np.ndarray:
@@ -190,8 +200,10 @@ def _identity_derivative(t: np.ndarray) -> np.ndarray:
     return np.ones_like(np.asarray(t, dtype=np.float64))
 
 
-TANH = ActivationFunction("tanh", np.tanh, _tanh_derivative)
-IDENTITY = ActivationFunction("identity", _identity_value, _identity_derivative)
+TANH = ActivationFunction("tanh", np.tanh, _tanh_derivative, _tanh_derivative_from_value)
+IDENTITY = ActivationFunction(
+    "identity", _identity_value, _identity_derivative, _identity_derivative
+)
 
 
 @dataclass(frozen=True, eq=False)
