@@ -64,6 +64,7 @@ class OptimResult:
     f_history: list[float] = field(default_factory=list)
     g_history: list[float] = field(default_factory=list)
     termination: str = "max_iter"  # grad_tol | max_iter | line_search_fail | custom
+    evaluations: int = 0  # objective calls, line-search trials included
 
 
 def _cubic_step(a: float, fa: float, da: float, b: float, fb: float, db: float) -> float:
@@ -178,13 +179,16 @@ def lbfgs_minimize(
     Stops on the max-norm gradient tolerance, the iteration cap, a line
     search failure, or ``stop_hook(iteration, x, f, grad)`` returning True.
     The result carries the best iterate seen, per-iteration value and
-    gradient-norm histories (entry 0 is the starting point), and the
-    termination reason.
+    gradient-norm histories (entry 0 is the starting point), the number of
+    objective calls, and the termination reason.
     """
     cfg = cfg or LbfgsConfig()
     x = np.array(x0, dtype=np.float64).ravel()
+    evaluations = 0
 
     def evaluate(point: np.ndarray, where: str) -> tuple[float, np.ndarray]:
+        nonlocal evaluations
+        evaluations += 1
         f, g = objective(point)
         g = np.asarray(g, dtype=np.float64).ravel()
         if not math.isfinite(f) or not np.all(np.isfinite(g)):
@@ -269,4 +273,5 @@ def lbfgs_minimize(
         f_history=f_history,
         g_history=g_history,
         termination=termination,
+        evaluations=evaluations,
     )

@@ -43,19 +43,36 @@ __all__ = [
     "RISK_GAP_RTOL",
     "TRANSFER_SLACK",
     "TRANSFER_FLOOR",
+    "DIVERGENCE_BOUND",
 ]
 
 RISK_GAP_RTOL = 1e-10
 TRANSFER_SLACK = 100.0
 TRANSFER_FLOOR = 1e-14
+# A search whose max|θ| passes this bound is abandoned: on tanh nets such runs
+# follow a risk that falls toward an infimum at infinity (saturation), not a
+# stationary point. Converging searches on the verify and criterion-3
+# fixtures peak below 141.
+DIVERGENCE_BOUND = 300.0
 
 
 class NonConvergenceError(RuntimeError):
-    """The stationary-point search did not reach the requested tolerance."""
+    """The stationary-point search did not reach the requested tolerance.
 
-    def __init__(self, best_norm: float):
-        super().__init__(f"best gradient norm reached: {best_norm:.3e}")
+    ``outcome`` says why it stopped: ``max_iter`` (iteration cap reached),
+    ``line_search_fail`` (no Wolfe step) or ``diverged`` (max|θ| passed
+    ``DIVERGENCE_BOUND``). ``best_norm`` is the gradient norm reported by the
+    optimizer; ``iterations`` and ``evaluations`` give the search's cost.
+    """
+
+    def __init__(self, best_norm: float, outcome: str, iterations: int, evaluations: int,
+                 detail: str):
+        super().__init__(f"{outcome}: {detail} after {iterations} iterations "
+                         f"({evaluations} evaluations)")
         self.best_norm = best_norm
+        self.outcome = outcome
+        self.iterations = iterations
+        self.evaluations = evaluations
 
 
 @dataclass(frozen=True)
@@ -93,8 +110,10 @@ def find_stationary_point(
 ) -> ParamVector:
     """Drive the risk gradient below ``tol`` from a seeded uniform(0,1) start.
 
-    Raises :class:`NonConvergenceError` (with the best norm reached) when the
-    optimizer stalls above the tolerance.
+    The search counts as diverged, and is given up, once an iterate's largest
+    parameter magnitude exceeds ``DIVERGENCE_BOUND``. Raises
+    :class:`NonConvergenceError` when the search diverges, hits ``max_iter``
+    or fails a line search; its ``outcome`` names which.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -104,9 +123,18 @@ def find_stationary_point(
         risk_objective(topology, data, activation),
         start,
         LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter),
+        stop_hook=lambda _k, x, _f, _g: float(np.max(np.abs(x))) > DIVERGENCE_BOUND,
     )
     if result.grad_norm_final > tol:
-        raise NonConvergenceError(result.grad_norm_final)
+        if result.termination == "custom":
+            outcome = "diverged"
+            detail = f"max|θ| {np.max(np.abs(result.theta)):.1f} > {DIVERGENCE_BOUND:g}"
+        else:
+            outcome = result.termination
+            detail = f"best gradient norm {result.grad_norm_final:.3e}"
+        raise NonConvergenceError(
+            result.grad_norm_final, outcome, result.iterations, result.evaluations, detail
+        )
     return ParamVector(topology, result.theta)
 
 
