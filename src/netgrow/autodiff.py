@@ -26,6 +26,7 @@ from .net_core import (
     ParamVector,
     Topology,
     _forward,
+    _mean_risk,
     empirical_risk,
 )
 
@@ -58,7 +59,7 @@ def risk_and_gradient(
             f"got {targets.shape}"
         )
     outputs = pre[-1]
-    risk = float(np.mean(MSE.value(targets, outputs)))
+    risk = _mean_risk(targets, outputs)
 
     # Backward sweep: u is d loss / d a^layer, one row per sample.
     u = MSE.derivative_per_output(targets, outputs)

@@ -195,8 +195,12 @@ def grow_split(
     shares = np.asarray(shares, dtype=np.float64).reshape(-1)
     if shares.size != count + 1:
         raise ValueError(f"need {count + 1} shares for {count} copies, got {shares.size}")
-    if abs(shares.sum() - 1.0) > SHARE_SUM_TOL:
-        raise ValueError(f"shares must sum to 1, got {shares.sum()!r}")
+    if not np.isfinite(shares).all():
+        raise ValueError(f"shares must be finite, got {shares.tolist()}")
+    total = float(shares.sum())
+    # Negated so that a NaN sum fails the check rather than passing it.
+    if not abs(total - 1.0) <= SHARE_SUM_TOL:
+        raise ValueError(f"shares must sum to 1, got {total}")
     if count == 0:
         # A lone share of 1 leaves the source untouched.
         return theta

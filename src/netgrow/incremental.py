@@ -167,7 +167,7 @@ def _stage_hook(rel_factor: float, loss_delta: float):
     state: dict = {}
 
     def hook(iteration: int, x, f: float, g) -> bool:
-        grad_norm = float(np.max(np.abs(g)))
+        grad_norm = float(np.abs(g).max())
         if iteration == 0:
             state["start_grad"] = grad_norm
             state["prev_f"] = f
@@ -327,7 +327,7 @@ def _grow_stage(
             raise RuntimeError(
                 f"growth changed the risk: {stage_end_risk!r} -> {risk!r}"
             )
-        if float(np.max(np.abs(grad))) > stage_tol:
+        if float(np.abs(grad).max()) > stage_tol:
             return candidate
     raise GrowthEscapeError(
         f"{cfg.embed_retry_limit} growth draws left the gradient below {stage_tol:.3e}"

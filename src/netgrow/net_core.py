@@ -15,7 +15,7 @@ appends rows to block l and columns to block l + 1; no other block changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +42,8 @@ class Topology:
     """Layer sizes of a dense net, input layer first, output layer last."""
 
     layer_sizes: tuple[int, ...]
+    # Read on every objective evaluation, so it is computed once here.
+    n_params: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(h) for h in self.layer_sizes)
@@ -50,6 +52,10 @@ class Topology:
         if any(h < 1 for h in sizes):
             raise ValueError(f"layer sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "layer_sizes", sizes)
+        # All weights plus one bias per neuron.
+        object.__setattr__(
+            self, "n_params", sum(h * (1 + h_prev) for h_prev, h in zip(sizes, sizes[1:]))
+        )
 
     @property
     def depth(self) -> int:
@@ -78,10 +84,7 @@ def build_topology(layer_sizes: Sequence[int]) -> Topology:
 
 def param_count(topology: Topology) -> int:
     """Total number of parameters: all weights plus one bias per neuron."""
-    sizes = topology.layer_sizes
-    weights = sum(sizes[i] * sizes[i + 1] for i in range(len(sizes) - 1))
-    biases = sum(sizes[1:])
-    return weights + biases
+    return topology.n_params
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,18 +126,23 @@ class ParamVector:
         """Pack per-layer ``(biases, weight matrix)`` pairs into a flat vector."""
         if len(layers) != topology.depth:
             raise ValueError(f"expected {topology.depth} layers, got {len(layers)}")
-        parts = []
+        flat = np.empty(topology.n_params)
+        offset = 0
+        sizes = topology.layer_sizes
         for layer, (b, w) in enumerate(layers, start=1):
             b = np.asarray(b, dtype=np.float64).reshape(-1)
             w = np.asarray(w, dtype=np.float64)
-            h, h_prev = topology.size(layer), topology.size(layer - 1)
+            h_prev, h = sizes[layer - 1], sizes[layer]
             if b.shape != (h,) or w.shape != (h, h_prev):
                 raise ValueError(
                     f"layer {layer}: expected biases ({h},) and weights "
                     f"({h}, {h_prev}), got {b.shape} and {w.shape}"
                 )
-            parts.append(np.hstack([b[:, None], w]).ravel())
-        return cls(topology, np.concatenate(parts) if parts else np.zeros(0))
+            block = flat[offset : offset + h * (1 + h_prev)].reshape(h, 1 + h_prev)
+            block[:, 0] = b
+            block[:, 1:] = w
+            offset += block.size
+        return cls(topology, flat)
 
     def layer_blocks(self) -> list[np.ndarray]:
         """Per layer ``(H, 1 + H_prev)`` views of the flat vector: bias column, then weights."""
@@ -221,7 +229,9 @@ class LossFunction:
 
 
 def _mse_value(y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return np.mean((np.asarray(f) - np.asarray(y)) ** 2, axis=-1)
+    # Sum over count is exactly np.mean's arithmetic, without its wrapper.
+    sq = (np.asarray(f) - np.asarray(y)) ** 2
+    return sq.sum(axis=-1) / sq.shape[-1]
 
 
 def _mse_derivative(y: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -260,7 +270,8 @@ def _forward(
     z = x
     for layer, (b, w) in enumerate(layers, start=1):
         signals.append(z)
-        a = z @ w.T + b
+        a = z @ w.T
+        a += b
         pre.append(a)
         if layer < depth:
             z = activation.value(a)
@@ -295,6 +306,12 @@ def forward(
     return ActivationRecord(tuple(a[0] for a in pre))
 
 
+def _mean_risk(targets: np.ndarray, outputs: np.ndarray) -> float:
+    """Mean over the samples of the per-sample MSE, as sum over count like ``np.mean``."""
+    per_sample = MSE.value(targets, outputs)
+    return float(per_sample.sum() / per_sample.size)
+
+
 def empirical_risk(
     theta: ParamVector,
     data,
@@ -311,4 +328,4 @@ def empirical_risk(
             f"{theta.topology.n_outputs}), got {targets.shape}"
         )
     outputs = forward_batch(theta, inputs, activation)[-1]
-    return float(np.mean(MSE.value(targets, outputs)))
+    return _mean_risk(targets, outputs)

@@ -154,17 +154,19 @@ def _two_loop(
     rho_list: deque,
 ) -> np.ndarray:
     q = grad.copy()
+    # One scratch vector takes every product, so no update allocates.
+    tmp = np.empty_like(q)
     alphas = []
     for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-        a = rho * float(s @ q)
-        q -= a * y
+        a = rho * float(s.dot(q))
+        q -= np.multiply(a, y, out=tmp)
         alphas.append(a)
     if s_list:
         s, y = s_list[-1], y_list[-1]
-        q *= float(s @ y) / float(y @ y)
+        q *= float(s.dot(y)) / float(y.dot(y))
     for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-        b = rho * float(y @ q)
-        q += (a - b) * s
+        b = rho * float(y.dot(q))
+        q += np.multiply(a - b, s, out=tmp)
     return q
 
 
@@ -191,12 +193,12 @@ def lbfgs_minimize(
         evaluations += 1
         f, g = objective(point)
         g = np.asarray(g, dtype=np.float64).ravel()
-        if not math.isfinite(f) or not np.all(np.isfinite(g)):
+        if not math.isfinite(f) or not np.isfinite(g).all():
             raise NumericalError(f"objective returned NaN/Inf {where}")
         return float(f), g
 
     f, g = evaluate(x, "at the starting point")
-    g_inf = float(np.max(np.abs(g))) if g.size else 0.0
+    g_inf = float(np.abs(g).max()) if g.size else 0.0
     f_history = [f]
     g_history = [g_inf]
     best_f, best_x, best_g_inf = f, x.copy(), g_inf
@@ -244,14 +246,15 @@ def lbfgs_minimize(
         s = t * d
         y = g_new - g
         sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        # math.sqrt of the dot product is what np.linalg.norm computes for a vector.
+        if sy > 1e-10 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
             s_mem.append(s)
             y_mem.append(y)
             rho_mem.append(1.0 / sy)
 
         x = x + s
         f, g = f_new, g_new
-        g_inf = float(np.max(np.abs(g))) if g.size else 0.0
+        g_inf = float(np.abs(g).max()) if g.size else 0.0
         iterations += 1
         f_history.append(f)
         g_history.append(g_inf)

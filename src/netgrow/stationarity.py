@@ -123,7 +123,7 @@ def find_stationary_point(
         risk_objective(topology, data, activation),
         start,
         LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter),
-        stop_hook=lambda _k, x, _f, _g: float(np.max(np.abs(x))) > DIVERGENCE_BOUND,
+        stop_hook=lambda _k, x, _f, _g: float(np.abs(x).max()) > DIVERGENCE_BOUND,
     )
     if result.grad_norm_final > tol:
         if result.termination == "custom":

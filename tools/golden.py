@@ -5,6 +5,7 @@ lives in:
 
     python3 tools/golden.py > GOLDEN.sha256         # write the manifest
     python3 tools/golden.py | diff GOLDEN.sha256 -  # compare with it
+    python3 tools/golden.py --check                 # compare; exit 1 on any difference
 
 Each command runs in-process, with BLAS pinned to one thread, inside a
 temporary directory and with relative ``--out`` paths, so the echoed
@@ -15,6 +16,11 @@ each certify-panel run (``verify --maps , --transfer --expect-escape --seed
 s`` for s = 0, 100, 200, 300) and their total. Outputs whose floating-point
 rounding a change moves show up as changed lines; a change meant to keep
 results byte-identical leaves the output equal to the manifest.
+
+``--check`` compares a fresh run with the committed ``GOLDEN.sha256``
+instead of printing it: it lists the lines whose value moved, the lines
+missing from the run and the lines new in it, and exits 1 if there are any
+(0 and "manifest unchanged" otherwise).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -110,7 +117,9 @@ def run(argv: list[str]) -> None:
         raise SystemExit(f"netgrow {' '.join(argv)} exited {code}")
 
 
-def main() -> int:
+def manifest() -> list[str]:
+    """Run every command in a temporary directory and return the manifest's lines."""
+    lines = []
     counts = []
     home = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="netgrow-golden-") as tmp:
@@ -132,10 +141,48 @@ def main() -> int:
             os.chdir(home)
         for path in sorted(p for p in work.rglob("*") if p.is_file() and p.name not in INPUTS):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(work).as_posix()}")
+            lines.append(f"{digest}  {path.relative_to(work).as_posix()}")
     for seed, calls in counts:
-        print(f"# risk_and_gradient calls, certify panel seed {seed}: {calls}")
-    print(f"# risk_and_gradient calls, certify panel total: {sum(calls for _, calls in counts)}")
+        lines.append(f"# risk_and_gradient calls, certify panel seed {seed}: {calls}")
+    lines.append(f"# risk_and_gradient calls, certify panel total: {sum(calls for _, calls in counts)}")
+    return lines
+
+
+def keyed(lines: list[str]) -> dict[str, str]:
+    """Manifest lines by what they describe: the file path, or the text of a ``#`` count."""
+    return {(line.rpartition(": ")[0] if line.startswith("#") else line.split("  ", 1)[1]): line
+            for line in lines if line.strip()}
+
+
+def check(fresh: list[str]) -> int:
+    committed = keyed((ROOT / "GOLDEN.sha256").read_text(encoding="utf-8").splitlines())
+    current = keyed(fresh)
+    moved = [(committed[k], current[k]) for k in committed if k in current and committed[k] != current[k]]
+    missing = [committed[k] for k in committed if k not in current]
+    new = [current[k] for k in current if k not in committed]
+    for old, now in moved:
+        print(f"moved:   {old}\n     ->  {now}")
+    for line in missing:
+        print(f"missing: {line}")
+    for line in new:
+        print(f"new:     {line}")
+    if moved or missing or new:
+        print(f"manifest differs: {len(moved)} moved, {len(missing)} missing, {len(new)} new")
+        return 1
+    print("manifest unchanged")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with GOLDEN.sha256 and exit 1 on any difference")
+    args = parser.parse_args()
+    lines = manifest()
+    if args.check:
+        return check(lines)
+    for line in lines:
+        print(line)
     return 0
 
 
