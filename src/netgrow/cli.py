@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,22 +34,15 @@ from .bench import (
     save_stats_tsv,
 )
 from .data import Dataset, ParseError, load_delimited, make_synthetic, standardize
-from .growth import (
-    GrowthPlan,
-    GrowthStep,
-    apply_growth,
-    random_growth,
-)
+from .growth import apply_growth, random_growth
 from .incremental import ItaConfig, ita_train, standard_train
-from .net_core import ParamVector, Topology, param_count
+from .net_core import Topology
 from .stationarity import (
-    NonConvergenceError,
-    escape_rate,
-    find_stationary_point,
-    risk_gap_report,
-    transfer_safe_spec,
-    verify_loss_invariance,
-    verify_stationarity_transfer,
+    control_records,
+    escape_records,
+    model_risk_records,
+    risk_records,
+    transfer_records,
 )
 
 __all__ = ["main"]
@@ -78,9 +71,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
-    for key, value in payload.items():
-        if isinstance(value, Path):
-            payload[key] = str(value)
     _write_json(out / "config.json", payload)
     return out
 
@@ -296,128 +286,34 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _verify_fixture(topology: Topology, seed: int) -> Dataset:
-    rng = np.random.default_rng(seed)
-    return Dataset(
-        rng.uniform(-2.0, 2.0, (16, topology.n_inputs)),
-        rng.uniform(-1.0, 1.0, (16, topology.n_outputs)),
-        name=f"verify-{seed}",
-    )
-
-
-def _verify_growth(kind: str, topology: Topology, rng) -> GrowthPlan | object:
-    hidden = topology.depth - 1
-    if kind == "plan":
-        steps = [GrowthStep("inert", 1, 1)]
-        if hidden >= 2:
-            steps.append(GrowthStep("split", 2, 2))
-        return GrowthPlan(tuple(steps))
-    layer = int(rng.integers(1, hidden + 1))
-    return random_growth(kind, topology, layer, int(rng.integers(1, 4)), rng)
-
-
-def _stationary_points(topology: Topology, data: Dataset, first_seed: int, attempts: int):
-    """Yield ``(seed, theta)`` for each start seed whose stationary-point search converges."""
-    for seed in range(first_seed, first_seed + attempts):
-        try:
-            yield seed, find_stationary_point(topology, data, tol=1e-8, max_iter=3000, seed=seed)
-        except NonConvergenceError:
-            continue
-
-
 def cmd_verify(args) -> int:
-    out = _out_dir(args)
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     kinds = [_MAP_ALIASES.get(m, m) for m in _parse_list("--maps", args.maps)]
     for kind in kinds:
         if kind not in ("inert", "constant", "split", "plan"):
             raise UsageError(f"unknown map {kind!r}")
-
-    reports = []
-
-    # Risk-invariance cases: (topology, data, fixed network or None for a
-    # random one per case, extra record fields, case seed base, seed step).
+    if args.model and args.negative_controls:
+        raise UsageError("--negative-controls applies only to random networks, not --model")
+    if args.data and not args.model:
+        raise UsageError("--data applies only with --model; random networks use fixed fixtures")
     if args.model:
-        # check the maps on a saved network instead of random ones
         theta = model_io.load_model(args.model)
-        data = (
-            _resolve_dataset(args)
-            if args.data
-            else _verify_fixture(theta.topology, seed=1000 + args.seed)
-        )
-        cases = [(theta.topology, data, theta, {"model": str(args.model)}, args.seed, 1)]
+        data = _resolve_dataset(args) if args.data else None
+        records = model_risk_records(theta, data, str(args.model), kinds, args.seeds, args.seed)
     else:
-        cases = []
-        for t_index, text in enumerate(args.topologies.split(";")):
-            sizes = tuple(_parse_list("--topologies", text, int))
-            if len(sizes) < 3:
-                raise UsageError(f"verify topologies need a hidden layer, got {text!r}")
-            topology = Topology(sizes)
-            data = _verify_fixture(topology, seed=1000 + t_index)
-            cases.append((topology, data, None, {}, t_index * 1009 + args.seed, 13))
-
-    for topology, data, saved, extra, base, step in cases:
-        for kind in kinds:
-            for seed in range(args.seeds):
-                case_seed = base + seed * step
-                rng = np.random.default_rng(case_seed)
-                theta = saved if saved is not None else ParamVector(
-                    topology, rng.uniform(-1.0, 1.0, param_count(topology))
-                )
-                growth = _verify_growth(kind, topology, rng)
-                report = verify_loss_invariance(theta, data, growth, rng=rng)
-                reports.append({"topology": list(topology.layer_sizes), **extra,
-                                "seed": case_seed, **report.to_record()})
-
-    if args.negative_controls and not args.model:
-        for t_index, (topology, data, *_) in enumerate(cases):
-            rng = np.random.default_rng(args.seed + 77 + t_index)
-            theta = ParamVector(topology, rng.uniform(-1.0, 1.0, param_count(topology)))
-            grown = apply_growth(theta, random_growth("inert", topology, 1, 2, rng))
-            # corrupt one of the zero outgoing weights of the first new neuron
-            layers = grown.layer_arrays()
-            weights = layers[1][1].copy()
-            weights[0, -2] = 0.7
-            layers[1] = (layers[1][0], weights)
-            corrupted = ParamVector.from_layer_arrays(grown.topology, layers)
-            report = risk_gap_report(theta, corrupted, data, "inert(corrupted)")
-            reports.append({"topology": list(topology.layer_sizes), "control": True,
-                            "expected": "fail", **report.to_record()})
-
-    if args.transfer:
-        fixture = standardize(
-            make_synthetic("teacher_net", n=2, m=1, samples=24, noise=0.1, seed=6, teacher_width=5)
-        )
-        points = _stationary_points(Topology((2, 2, 1)), fixture, args.seed + 1, args.seeds * 4)
-        for seed, theta in islice(points, args.seeds):
-            rng = np.random.default_rng(seed + 500)
-            for kind in ("constant", "split"):
-                spec = transfer_safe_spec(kind, theta.topology, 1, 2, rng)
-                report = verify_stationarity_transfer(theta, fixture, spec)
-                reports.append({"topology": [2, 2, 1], "seed": seed, **report.to_record()})
-
-    if args.expect_escape:
-        # a width-1 student of a wide teacher keeps a large residual, so the
-        # grown gradient reliably wakes up
-        fixture = standardize(
-            make_synthetic("teacher_net", n=2, m=1, samples=24, noise=0.2, seed=6, teacher_width=8)
-        )
-        _, theta = next(_stationary_points(Topology((2, 1, 1)), fixture, args.seed, 20), (None, None))
-        if theta is None:
-            raise RuntimeError("no stationary point found for the escape check")
-        rate = escape_rate(theta, fixture, layer=1, count=2, draws=50, threshold=1e-3, seed=args.seed)
-        reports.append(
-            {
-                "check": "escape",
-                "map": "inert@1x2",
-                "escape_rate": rate,
-                "draws": 50,
-                "threshold": 1e-3,
-                "verdict": "pass" if rate >= 0.9 else "fail",
-            }
-        )
-
+        topologies = [Topology(tuple(_parse_list("--topologies", text, int)))
+                      for text in args.topologies.split(";")]
+        if any(topology.depth < 2 for topology in topologies):
+            raise UsageError(f"verify topologies need a hidden layer, got {args.topologies!r}")
+        records = risk_records(topologies, kinds, args.seeds, args.seed)
+    out = _out_dir(args)
+    reports = list(chain(
+        records,
+        control_records(topologies, args.seed) if args.negative_controls else (),
+        transfer_records(args.seeds, args.seed) if args.transfer else (),
+        escape_records(args.seed) if args.expect_escape else (),
+    ))
     _write_jsonl(out / "reports.jsonl", reports)
     checks = [r for r in reports if not r.get("control")]
     if not checks:
@@ -447,18 +343,12 @@ def cmd_bench(args) -> int:
         if name == "standard":
             solvers.append(StandardSolver(width=args.std_width, tol=args.std_tol))
         elif name == "ita":
-            solvers.append(
-                IncrementalSolver(
-                    config=ItaConfig(
-                        initial_width=args.h0,
-                        max_width=args.hmax,
-                        growth=args.growth if args.growth == "double"
-                        else _parse_list("--growth", args.growth, int),
-                        final_grad_tol=args.std_tol,
-                        intermediate_loss_delta=args.ita_delta,
-                    )
-                )
-            )
+            growth = (args.growth if args.growth == "double"
+                      else _parse_list("--growth", args.growth, int))
+            solvers.append(IncrementalSolver(config=ItaConfig(
+                initial_width=args.h0, max_width=args.hmax, growth=growth,
+                final_grad_tol=args.std_tol, intermediate_loss_delta=args.ita_delta,
+            )))
         else:
             raise UsageError(f"unknown solver {name!r} (use standard, ita)")
     out = _out_dir(args)
@@ -560,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="certify growth-map guarantees")
     verify.add_argument("--data", help="dataset file or synth:kind:k=v,... spec")
     _add_data_flags(verify)
-    verify.add_argument("--model", default=None,
-                        help="check a saved model instead of random networks")
+    verify.add_argument("--model", help="check a saved model instead of random networks")
     verify.add_argument("--topologies", default="2,3,1;2,2,2,1;3,4,2")
     verify.add_argument("--maps", default="inert,constant,split")
     verify.add_argument("--seeds", type=int, default=10)

@@ -3,19 +3,22 @@
 Two checks matter: growing a network must leave the empirical risk unchanged
 for any parameter choice, and the stationarity-preserving maps (constant
 growth with zero outgoing weights, and splits) must map zero-gradient points
-to zero-gradient points. Both are certified numerically against thresholds;
-the reports are plain records so the CLI can stream them one per line.
+to zero-gradient points. Both are certified numerically against thresholds.
+The ``*_records`` generators are the suite ``netgrow verify`` runs, one per
+check family; each yields the plain records it writes to ``reports.jsonl``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .autodiff import grad_norm_inf, risk_and_gradient, risk_objective
+from .data import Dataset, make_synthetic, standardize
 from .growth import (
     ConstantGrowth,
     GrowthPlan,
@@ -40,6 +43,7 @@ __all__ = [
     "transfer_safe_spec",
     "escape_rate",
     "count_manifold_families",
+    "risk_records", "model_risk_records", "control_records", "transfer_records", "escape_records",
     "RISK_GAP_RTOL",
     "TRANSFER_SLACK",
     "TRANSFER_FLOOR",
@@ -86,8 +90,11 @@ class StationarityReport:
     embedded_grad_norm: float
     passed: bool
 
-    def to_record(self) -> dict:
+    def to_record(self, topology: Topology, **fields) -> dict:
+        """The report as a ``reports.jsonl`` record of a check on ``topology``, plus ``fields``."""
         return {
+            "topology": list(topology.layer_sizes),
+            **fields,
             "check": self.check,
             "map": self.map_label,
             "source_risk": self.source_risk,
@@ -295,3 +302,104 @@ def count_manifold_families(topology: Topology, budget: int) -> int:
         # with at most `budget` in total.
         total += comb(hidden, k) * comb(budget, k) * 2**k
     return total
+
+
+def _verify_fixture(topology: Topology, seed: int) -> Dataset:
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.uniform(-2.0, 2.0, (16, topology.n_inputs)),
+                   rng.uniform(-1.0, 1.0, (16, topology.n_outputs)), name=f"verify-{seed}")
+
+
+def _verify_growth(kind: str, topology: Topology, rng) -> GrowthSpec | GrowthPlan:
+    hidden = topology.depth - 1
+    if kind == "plan":
+        steps = [GrowthStep("inert", 1, 1)] + ([GrowthStep("split", 2, 2)] if hidden >= 2 else [])
+        return GrowthPlan(tuple(steps))
+    layer = int(rng.integers(1, hidden + 1))
+    return random_growth(kind, topology, layer, int(rng.integers(1, 4)), rng)
+
+
+def _random_network(topology: Topology, rng) -> ParamVector:
+    return ParamVector(topology, rng.uniform(-1.0, 1.0, param_count(topology)))
+
+
+def _risk_cases(topology, data, saved, base, step, kinds, seeds, **fields) -> Iterator[dict]:
+    # case s of each kind is seeded base + s * step and grows ``saved`` or a random net
+    for kind in kinds:
+        for s in range(seeds):
+            case_seed = base + s * step
+            rng = np.random.default_rng(case_seed)
+            theta = saved if saved is not None else _random_network(topology, rng)
+            growth = _verify_growth(kind, topology, rng)
+            report = verify_loss_invariance(theta, data, growth, rng=rng)
+            yield report.to_record(topology, **fields, seed=case_seed)
+
+
+def risk_records(topologies: Sequence[Topology], kinds: Sequence[str], seeds: int,
+                 seed: int) -> Iterator[dict]:
+    """Risk checks of each map kind on ``seeds`` random networks per topology."""
+    for t, topology in enumerate(topologies):
+        data = _verify_fixture(topology, 1000 + t)
+        yield from _risk_cases(topology, data, None, t * 1009 + seed, 13, kinds, seeds)
+
+
+def model_risk_records(theta: ParamVector, data: Dataset | None, model: str,
+                       kinds: Sequence[str], seeds: int, seed: int) -> Iterator[dict]:
+    """Risk checks of each map kind, ``seeds`` draws each, on the network saved in ``model``."""
+    data = _verify_fixture(theta.topology, 1000 + seed) if data is None else data
+    yield from _risk_cases(theta.topology, data, theta, seed, 1, kinds, seeds, model=model)
+
+
+def control_records(topologies: Sequence[Topology], seed: int) -> Iterator[dict]:
+    """Per topology, an inert growth with a corrupted weight; its risk check must fail."""
+    for t, topology in enumerate(topologies):
+        rng = np.random.default_rng(seed + 77 + t)
+        theta = _random_network(topology, rng)
+        grown = apply_growth(theta, random_growth("inert", topology, 1, 2, rng))
+        # corrupt one of the zero outgoing weights of the first new neuron
+        layers = grown.layer_arrays()
+        weights = layers[1][1].copy()
+        weights[0, -2] = 0.7
+        layers[1] = (layers[1][0], weights)
+        corrupted = ParamVector.from_layer_arrays(grown.topology, layers)
+        report = risk_gap_report(theta, corrupted, _verify_fixture(topology, 1000 + t),
+                                 "inert(corrupted)")
+        yield report.to_record(topology, control=True, expected="fail")
+
+
+def _teacher_fixture(noise: float, width: int) -> Dataset:
+    return standardize(make_synthetic("teacher_net", n=2, m=1, samples=24, noise=noise,
+                                      seed=6, teacher_width=width))
+
+
+def _stationary_points(topology: Topology, data, first_seed: int, attempts: int):
+    """Yield ``(seed, theta)`` for each start seed whose stationary-point search converges."""
+    for seed in range(first_seed, first_seed + attempts):
+        try:
+            yield seed, find_stationary_point(topology, data, tol=1e-8, max_iter=3000, seed=seed)
+        except NonConvergenceError:
+            continue
+
+
+def transfer_records(seeds: int, seed: int) -> Iterator[dict]:
+    """Constant and split transfer checks at ``seeds`` stationary points of a (2,2,1) net."""
+    fixture = _teacher_fixture(0.1, 5)
+    points = _stationary_points(Topology((2, 2, 1)), fixture, seed + 1, seeds * 4)
+    for start, theta in islice(points, seeds):
+        rng = np.random.default_rng(start + 500)
+        for kind in ("constant", "split"):
+            spec = transfer_safe_spec(kind, theta.topology, 1, 2, rng)
+            report = verify_stationarity_transfer(theta, fixture, spec)
+            yield report.to_record(theta.topology, seed=start)
+
+
+def escape_records(seed: int) -> Iterator[dict]:
+    """At a stationary point of a (2,1,1) net, >= 90 % of 50 inert growths must escape."""
+    # a width-1 student of a wide teacher keeps a large residual, so growth wakes it up
+    fixture = _teacher_fixture(0.2, 8)
+    _, theta = next(_stationary_points(Topology((2, 1, 1)), fixture, seed, 20), (None, None))
+    if theta is None:
+        raise RuntimeError("no stationary point found for the escape check")
+    rate = escape_rate(theta, fixture, layer=1, count=2, draws=50, threshold=1e-3, seed=seed)
+    yield {"check": "escape", "map": "inert@1x2", "escape_rate": rate, "draws": 50,
+           "threshold": 1e-3, "verdict": "pass" if rate >= 0.9 else "fail"}

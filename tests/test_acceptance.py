@@ -226,7 +226,7 @@ def test_criterion_4_escape_property(stationary_points):
 
 
 def test_criterion_5_gradient_correctness():
-    with criterion(5, "forward-mode gradient vs central differences"):
+    with criterion(5, "reverse-sweep gradient vs central differences"):
         shapes = [[1, 2, 1], [2, 3, 2], [3, 2, 2, 1], [2, 2, 3, 2], [2, 3, 2, 2, 1]]
         cases = 0
         for seed in range(50):
