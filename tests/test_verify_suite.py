@@ -23,13 +23,12 @@ from netgrow.stationarity import (
     transfer_records,
 )
 
-SYNTH = "synth:sinusoid:n=1,m=1,P=24,noise=0.05,seed=2"
 DEFAULT_TOPOLOGIES = [Topology((2, 3, 1)), Topology((2, 2, 2, 1)), Topology((3, 4, 2))]
 DEFAULT_KINDS = ["inert", "constant", "split"]
 
 
-def _saved_model(tmp_path, sizes=(1, 3, 1)):
-    topology = Topology(sizes)
+def _saved_model(tmp_path):
+    topology = Topology((1, 3, 1))
     theta = ParamVector(topology, np.random.default_rng(4).uniform(-1, 1, param_count(topology)))
     path = tmp_path / "source.bin"
     save_model(theta, path)
