@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model_io
+from . import model_io, stationarity
 from .autodiff import risk_and_gradient  # noqa: F401  (perfbench/test_perfbench.py looks it up here)
 from .bench import (
     IncrementalSolver,
@@ -37,13 +37,6 @@ from .data import Dataset, ParseError, load_delimited, make_synthetic, standardi
 from .growth import apply_growth, random_growth
 from .incremental import ItaConfig, ita_train, standard_train
 from .net_core import Topology
-from .stationarity import (
-    control_records,
-    escape_records,
-    model_risk_records,
-    risk_records,
-    transfer_records,
-)
 
 __all__ = ["main"]
 
@@ -300,19 +293,20 @@ def cmd_verify(args) -> int:
     if args.model:
         theta = model_io.load_model(args.model)
         data = _resolve_dataset(args) if args.data else None
-        records = model_risk_records(theta, data, str(args.model), kinds, args.seeds, args.seed)
+        records = stationarity.model_risk_records(theta, data, str(args.model), kinds,
+                                                  args.seeds, args.seed)
     else:
         topologies = [Topology(tuple(_parse_list("--topologies", text, int)))
                       for text in args.topologies.split(";")]
         if any(topology.depth < 2 for topology in topologies):
             raise UsageError(f"verify topologies need a hidden layer, got {args.topologies!r}")
-        records = risk_records(topologies, kinds, args.seeds, args.seed)
+        records = stationarity.risk_records(topologies, kinds, args.seeds, args.seed)
     out = _out_dir(args)
     reports = list(chain(
         records,
-        control_records(topologies, args.seed) if args.negative_controls else (),
-        transfer_records(args.seeds, args.seed) if args.transfer else (),
-        escape_records(args.seed) if args.expect_escape else (),
+        stationarity.control_records(topologies, args.seed) if args.negative_controls else (),
+        stationarity.transfer_records(args.seeds, args.seed) if args.transfer else (),
+        stationarity.escape_records(args.seed) if args.expect_escape else (),
     ))
     _write_jsonl(out / "reports.jsonl", reports)
     checks = [r for r in reports if not r.get("control")]
@@ -343,12 +337,18 @@ def cmd_bench(args) -> int:
         if name == "standard":
             solvers.append(StandardSolver(width=args.std_width, tol=args.std_tol))
         elif name == "ita":
-            growth = (args.growth if args.growth == "double"
-                      else _parse_list("--growth", args.growth, int))
-            solvers.append(IncrementalSolver(config=ItaConfig(
-                initial_width=args.h0, max_width=args.hmax, growth=growth,
-                final_grad_tol=args.std_tol, intermediate_loss_delta=args.ita_delta,
-            )))
+            solvers.append(
+                IncrementalSolver(
+                    config=ItaConfig(
+                        initial_width=args.h0,
+                        max_width=args.hmax,
+                        growth=args.growth if args.growth == "double"
+                        else _parse_list("--growth", args.growth, int),
+                        final_grad_tol=args.std_tol,
+                        intermediate_loss_delta=args.ita_delta,
+                    )
+                )
+            )
         else:
             raise UsageError(f"unknown solver {name!r} (use standard, ita)")
     out = _out_dir(args)
@@ -450,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="certify growth-map guarantees")
     verify.add_argument("--data", help="dataset file or synth:kind:k=v,... spec")
     _add_data_flags(verify)
-    verify.add_argument("--model", help="check a saved model instead of random networks")
+    verify.add_argument("--model", default=None,
+                        help="check a saved model instead of random networks")
     verify.add_argument("--topologies", default="2,3,1;2,2,2,1;3,4,2")
     verify.add_argument("--maps", default="inert,constant,split")
     verify.add_argument("--seeds", type=int, default=10)

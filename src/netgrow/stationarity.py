@@ -43,7 +43,11 @@ __all__ = [
     "transfer_safe_spec",
     "escape_rate",
     "count_manifold_families",
-    "risk_records", "model_risk_records", "control_records", "transfer_records", "escape_records",
+    "risk_records",
+    "model_risk_records",
+    "control_records",
+    "transfer_records",
+    "escape_records",
     "RISK_GAP_RTOL",
     "TRANSFER_SLACK",
     "TRANSFER_FLOOR",
@@ -306,14 +310,19 @@ def count_manifold_families(topology: Topology, budget: int) -> int:
 
 def _verify_fixture(topology: Topology, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
-    return Dataset(rng.uniform(-2.0, 2.0, (16, topology.n_inputs)),
-                   rng.uniform(-1.0, 1.0, (16, topology.n_outputs)), name=f"verify-{seed}")
+    return Dataset(
+        rng.uniform(-2.0, 2.0, (16, topology.n_inputs)),
+        rng.uniform(-1.0, 1.0, (16, topology.n_outputs)),
+        name=f"verify-{seed}",
+    )
 
 
 def _verify_growth(kind: str, topology: Topology, rng) -> GrowthSpec | GrowthPlan:
     hidden = topology.depth - 1
     if kind == "plan":
-        steps = [GrowthStep("inert", 1, 1)] + ([GrowthStep("split", 2, 2)] if hidden >= 2 else [])
+        steps = [GrowthStep("inert", 1, 1)]
+        if hidden >= 2:
+            steps.append(GrowthStep("split", 2, 2))
         return GrowthPlan(tuple(steps))
     layer = int(rng.integers(1, hidden + 1))
     return random_growth(kind, topology, layer, int(rng.integers(1, 4)), rng)
@@ -372,7 +381,7 @@ def _teacher_fixture(noise: float, width: int) -> Dataset:
                                       seed=6, teacher_width=width))
 
 
-def _stationary_points(topology: Topology, data, first_seed: int, attempts: int):
+def _stationary_points(topology: Topology, data: Dataset, first_seed: int, attempts: int):
     """Yield ``(seed, theta)`` for each start seed whose stationary-point search converges."""
     for seed in range(first_seed, first_seed + attempts):
         try:
@@ -401,5 +410,11 @@ def escape_records(seed: int) -> Iterator[dict]:
     if theta is None:
         raise RuntimeError("no stationary point found for the escape check")
     rate = escape_rate(theta, fixture, layer=1, count=2, draws=50, threshold=1e-3, seed=seed)
-    yield {"check": "escape", "map": "inert@1x2", "escape_rate": rate, "draws": 50,
-           "threshold": 1e-3, "verdict": "pass" if rate >= 0.9 else "fail"}
+    yield {
+        "check": "escape",
+        "map": "inert@1x2",
+        "escape_rate": rate,
+        "draws": 50,
+        "threshold": 1e-3,
+        "verdict": "pass" if rate >= 0.9 else "fail",
+    }

@@ -73,7 +73,41 @@ def test_a_gap_inside_the_parent_iqr_is_no_gain():
     assert (m["won"], m["gain"]) == (3, "no gain")
 
 
-def test_command_line_table_json_and_exit_codes(checkouts, capsys, tmp_path):
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # IQR 1.0 on a median of 2.0 is wider than a 0.25 bound
+    parent = [1.0, 1.5, 2.0, 2.5, 3.0]
+    m = bench_pairs.compare(parent, [1.1, 1.4, 2.1, 2.4, 3.1], "lower", 0.25)
+    assert m["bound"] == "unresolved"
+    # unless every change run beats every parent run
+    assert bench_pairs.compare(parent, [0.5, 0.6, 0.7, 0.8, 0.9], "lower", 0.25)["bound"] \
+        == "within bound"
+    assert bench_pairs.compare(parent, [3.5, 4.0, 3.2, 3.3, 3.4], "higher", 0.25)["bound"] \
+        == "within bound"
+    assert bench_pairs.compare(parent, [3.5, 4.0, 3.2, 3.3, 1.2], "higher", 0.25)["bound"] \
+        == "unresolved"
+    # a median worse beyond the bound is reported as such, spread or not
+    assert bench_pairs.compare(parent, [5.0, 5.0, 5.0, 5.0, 5.0], "lower", 0.25)["bound"] \
+        == "worse beyond bound"
+
+
+def test_more_failed_operations_on_the_change_is_no_gain(checkouts, capsys):
+    parent, change = checkouts
+    report = change / ".perfbench_out" / "certify-seed2-trace0.json"
+    report.write_text(json.dumps({**json.loads(report.read_text()), "failed": 1}))
+    summary = bench_pairs.summarize(
+        bench_pairs.read_reports(parent), bench_pairs.read_reports(change), SPEC)
+    certify = summary["certify"]
+    assert certify["failed"]["change"] == [1, 100] and certify["more_failures"]
+    wall = certify["metrics"]["wall_s"]
+    assert (wall["won"], wall["bound"], wall["gain"]) == (9, "within bound", "no gain")
+
+    for file in (parent / ".perfbench_out").glob("embed-*"):
+        file.unlink()
+    assert bench_pairs.main([str(parent), str(change)]) == 1  # certify fails more often
+    assert "the change fails a larger share of operations" in capsys.readouterr().out
+
+
+def test_command_line_table_and_exit_codes(checkouts, capsys, tmp_path):
     parent, change = checkouts
     args = [str(parent), str(change)]
     assert bench_pairs.main(args) == 1  # embed is worse beyond its bound
@@ -81,13 +115,11 @@ def test_command_line_table_json_and_exit_codes(checkouts, capsys, tmp_path):
     assert "certify: 10 pairs" in table and "unpaired seeds left out: [11]" in table
     assert "won 9/10 lost 1  within bound, gain" in table
 
-    assert bench_pairs.main([*args, "--json"]) == 1
-    assert json.loads(capsys.readouterr().out)["certify"]["metrics"]["wall_s"]["won"] == 9
-
     for file in (parent / ".perfbench_out").glob("embed-*"):
         file.unlink()
-    assert bench_pairs.main([str(parent / ".perfbench_out"), str(change)]) == 0
+    assert bench_pairs.main(args) == 0
 
     assert bench_pairs.main([str(tmp_path / "nowhere"), str(change)]) == 2
+    assert bench_pairs.main([str(parent / ".perfbench_out"), str(change)]) == 2  # not a checkout
     (change / ".perfbench_out" / "certify-seed1-trace0.json").write_text('{"wall_s": 1.0}')
     assert bench_pairs.main(args) == 2  # a report without the other metrics

@@ -1,27 +1,30 @@
 """Pair the benchmark runs of a parent and a change checkout, seed by seed.
 
-    python3 tools/bench_pairs.py PARENT CHANGE           # a table per workload
-    python3 tools/bench_pairs.py PARENT CHANGE --json    # the same numbers as JSON
+    python3 tools/bench_pairs.py PARENT CHANGE
 
-PARENT and CHANGE are checkouts (or their ``.perfbench_out`` directories)
-holding the untraced reports ``<workload>-seed<n>-trace0.json`` that
+PARENT and CHANGE are checkouts holding the untraced reports
+``.perfbench_out/<workload>-seed<n>-trace0.json`` that
 ``perfbench/run.py --trace 0`` writes. A run of seed ``n`` in one is paired
 with the run of seed ``n`` in the other; seeds found on one side only are
 listed and left out. The metrics, their direction and their bounds are the
 ``end_to_end`` entries of this checkout's ``BENCHMARK.json``.
 
-For each workload and metric the tool gives both medians, the parent's IQR
+For each workload and metric the tool prints both medians, the parent's IQR
 (inclusive quartiles), how many pairs the change won and lost (a tie counts
 as neither), and two verdicts:
 
-- ``bound``: "worse beyond bound" when the change's median is worse than the
-  parent's by more than the metric's relative bound, else "within bound";
-- ``gain``: "gain" when the change won at least 9 of 10 pairs and its median
-  is better than the parent's by more than the parent's IQR, else "no gain".
+- bound: "worse beyond bound" when the change's median is worse than the
+  parent's by more than the metric's relative bound; else "unresolved" when
+  the parent's IQR over its median is wider than the bound, unless every
+  change run beats every parent run; else "within bound";
+- gain: "gain" when the change won at least 9 of 10 pairs, its median is
+  better than the parent's by more than the parent's IQR, and it fails no
+  larger share of operations than the parent; else "no gain".
 
 Each workload also gets its failed/attempted operation counts per side.
-Exit codes: 0 when no metric is worse beyond its bound, 1 when one is, 2 for
-missing, unreadable or incomplete reports.
+Exit codes: 0 when every metric is within its bound and no workload fails a
+larger share of operations on the change, 1 otherwise, 2 for missing,
+unreadable or incomplete reports.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ REPORT = re.compile(r"^(?P<workload>[a-z_]+)-seed(?P<seed>\d+)-trace0\.json$")
 GAIN_SHARE = 0.9  # share of pairs the change must win for a claimed gain
 
 
-def read_reports(path: Path) -> dict[str, dict[int, dict]]:
-    """``{workload: {seed: report}}`` for the untraced reports under ``path``."""
-    folder = path / ".perfbench_out" if (path / ".perfbench_out").is_dir() else path
+def read_reports(checkout: Path) -> dict[str, dict[int, dict]]:
+    """``{workload: {seed: report}}`` for the untraced reports of ``checkout``."""
+    folder = checkout / ".perfbench_out"
     if not folder.is_dir():
-        raise FileNotFoundError(f"no report directory at {path}")
+        raise FileNotFoundError(f"no .perfbench_out directory in {checkout}")
     reports: dict[str, dict[int, dict]] = {}
     for file in sorted(folder.iterdir()):
         match = REPORT.match(file.name)
@@ -67,7 +70,13 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gap = sign * (change_median - parent_median)  # > 0 means the change is worse
-    worse = gap > bound * abs(parent_median)
+    if gap > bound * abs(parent_median):
+        verdict = "worse beyond bound"
+    elif (q3 - q1 > bound * abs(parent_median)
+          and max(sign * c for c in change) >= min(sign * p for p in parent)):
+        verdict = "unresolved"  # the parent's own spread is wider than the bound
+    else:
+        verdict = "within bound"
     gain = won >= GAIN_SHARE * len(parent) and -gap > q3 - q1
     return {
         "parent_median": parent_median,
@@ -77,7 +86,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "pairs": len(parent),
         "won": won,
         "lost": lost,
-        "bound": "worse beyond bound" if worse else "within bound",
+        "bound": verdict,
         "gain": "gain" if gain else "no gain",
     }
 
@@ -88,20 +97,26 @@ def summarize(parent: dict, change: dict, spec: dict) -> dict:
     for workload in sorted(set(parent) | set(change)):
         runs_p, runs_c = parent.get(workload, {}), change.get(workload, {})
         seeds = sorted(set(runs_p) & set(runs_c))
+        failed = {side: [sum(runs[s][key] for s in seeds) for key in ("failed", "attempted")]
+                  for side, runs in (("parent", runs_p), ("change", runs_c))}
+        (pf, pa), (cf, ca) = failed["parent"], failed["change"]
         entry = {
             "seeds": seeds,
             "unpaired": sorted(set(runs_p) ^ set(runs_c)),
-            "failed": {side: [sum(runs[s][key] for s in seeds) for key in ("failed", "attempted")]
-                       for side, runs in (("parent", runs_p), ("change", runs_c))},
+            "failed": failed,
+            "more_failures": cf * pa > pf * ca,  # cf / ca > pf / pa without dividing by 0
             "metrics": {},
         }
         if seeds:
             for metric in spec["end_to_end"]:
                 name = metric["name"]
-                entry["metrics"][name] = compare(
+                m = compare(
                     [runs_p[s][name] for s in seeds], [runs_c[s][name] for s in seeds],
                     metric["better"], metric["bound"],
                 )
+                if entry["more_failures"]:
+                    m["gain"] = "no gain"
+                entry["metrics"][name] = m
         summary[workload] = entry
     return summary
 
@@ -113,6 +128,8 @@ def render(summary: dict, spec: dict) -> str:
         (pf, pa), (cf, ca) = entry["failed"]["parent"], entry["failed"]["change"]
         lines.append(f"{workload}: {len(entry['seeds'])} pairs (seeds {entry['seeds']}); "
                      f"failed {pf}/{pa} parent, {cf}/{ca} change")
+        if entry["more_failures"]:
+            lines.append("  the change fails a larger share of operations")
         if entry["unpaired"]:
             lines.append(f"  unpaired seeds left out: {entry['unpaired']}")
         for name, m in entry["metrics"].items():
@@ -126,9 +143,8 @@ def render(summary: dict, spec: dict) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("parent", type=Path, help="parent checkout or its .perfbench_out")
-    parser.add_argument("change", type=Path, help="change checkout or its .perfbench_out")
-    parser.add_argument("--json", action="store_true", help="print the summary as JSON")
+    parser.add_argument("parent", type=Path, help="parent checkout")
+    parser.add_argument("change", type=Path, help="change checkout")
     args = parser.parse_args(argv)
     try:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -139,10 +155,11 @@ def main(argv: list[str] | None = None) -> int:
     if not any(entry["seeds"] for entry in summary.values()):
         print("error: no seed has a report on both sides", file=sys.stderr)
         return 2
-    print(json.dumps(summary, indent=2, sort_keys=True) if args.json else render(summary, spec))
-    worse = any(m["bound"] == "worse beyond bound"
-                for entry in summary.values() for m in entry["metrics"].values())
-    return 1 if worse else 0
+    print(render(summary, spec))
+    failing = any(entry["more_failures"] or any(m["bound"] != "within bound"
+                                                for m in entry["metrics"].values())
+                  for entry in summary.values())
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":
