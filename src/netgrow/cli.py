@@ -288,6 +288,9 @@ def cmd_verify(args) -> int:
             raise UsageError(f"unknown map {kind!r}")
     if args.model and args.negative_controls:
         raise UsageError("--negative-controls applies only to random networks, not --model")
+    if args.model and (args.transfer or args.expect_escape):
+        flag = "--transfer" if args.transfer else "--expect-escape"
+        raise UsageError(f"{flag} checks a fixed teacher network, not --model")
     if args.data and not args.model:
         raise UsageError("--data applies only with --model; random networks use fixed fixtures")
     if args.model:

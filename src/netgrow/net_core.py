@@ -29,6 +29,7 @@ __all__ = [
     "TANH",
     "IDENTITY",
     "MSE",
+    "Workspace",
     "build_topology",
     "param_count",
     "forward",
@@ -183,34 +184,42 @@ class ActivationFunction:
 
     ``derivative(t)`` takes the pre-activation; ``derivative_from_value(z)``
     takes the activation's value ``z = value(t)`` and returns the same slope
-    without evaluating ``value`` again.
+    without evaluating ``value`` again. ``value`` and ``derivative_from_value``
+    take an optional second argument ``out``, an array of the result's shape,
+    and write into it instead of allocating; the bits are the same either way.
     """
 
     name: str
-    value: Callable[[np.ndarray], np.ndarray]
+    value: Callable[..., np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
-    derivative_from_value: Callable[[np.ndarray], np.ndarray]
+    derivative_from_value: Callable[..., np.ndarray]
 
 
-def _tanh_derivative_from_value(z: np.ndarray) -> np.ndarray:
-    return 1.0 - z * z
+def _tanh_derivative_from_value(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        return 1.0 - z * z
+    np.multiply(z, z, out)
+    return np.subtract(1.0, out, out)
 
 
 def _tanh_derivative(t: np.ndarray) -> np.ndarray:
     return _tanh_derivative_from_value(np.tanh(t))
 
 
-def _identity_value(t: np.ndarray) -> np.ndarray:
-    return np.asarray(t, dtype=np.float64)
-
-
 def _identity_derivative(t: np.ndarray) -> np.ndarray:
     return np.ones_like(np.asarray(t, dtype=np.float64))
 
 
+def _identity_derivative_from_value(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        return _identity_derivative(z)
+    out.fill(1.0)
+    return out
+
+
 TANH = ActivationFunction("tanh", np.tanh, _tanh_derivative, _tanh_derivative_from_value)
 IDENTITY = ActivationFunction(
-    "identity", _identity_value, _identity_derivative, _identity_derivative
+    "identity", np.positive, _identity_derivative, _identity_derivative_from_value
 )
 
 
@@ -228,16 +237,24 @@ class LossFunction:
     derivative_per_output: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _per_sample_mse(residual: np.ndarray) -> np.ndarray:
+    # Sum over count is exactly np.mean's arithmetic, without its wrapper;
+    # np.add.reduce is what ndarray.sum calls, without its Python frame.
+    sq = residual ** 2
+    return np.add.reduce(sq, -1) / sq.shape[-1]
+
+
+def _mse_slope(residual: np.ndarray) -> np.ndarray:
+    """Partial of the per-sample MSE by each output, from ``residual = f - y``."""
+    return 2.0 * residual / residual.shape[-1]
+
+
 def _mse_value(y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # Sum over count is exactly np.mean's arithmetic, without its wrapper.
-    sq = (np.asarray(f) - np.asarray(y)) ** 2
-    return sq.sum(axis=-1) / sq.shape[-1]
+    return _per_sample_mse(np.asarray(f) - np.asarray(y))
 
 
 def _mse_derivative(y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    return 2.0 * (f - y) / y.shape[-1]
+    return _mse_slope(np.asarray(f, dtype=np.float64) - np.asarray(y, dtype=np.float64))
 
 
 MSE = LossFunction("mse", _mse_value, _mse_derivative)
@@ -254,27 +271,54 @@ class ActivationRecord:
         return self.pre_activations[-1]
 
 
+class Workspace:
+    """Reusable ``(P, H)`` buffers for evaluating one topology on ``P`` samples.
+
+    For layer ``l`` (1-based), ``pre[l - 1]`` receives its pre-activations and,
+    for a hidden layer, ``act[l - 1]`` its activations in the forward pass, and
+    ``slope[l - 1]`` and ``step[l - 1]`` the backward sweep's slope and step.
+    Each evaluation overwrites them, so a workspace serves one evaluation at a
+    time and nothing that outlives the evaluation may be a view of it.
+    """
+
+    __slots__ = ("pre", "act", "slope", "step")
+
+    def __init__(self, topology: Topology, n_samples: int) -> None:
+        sizes = topology.layer_sizes[1:]
+        self.pre = [np.empty((n_samples, h)) for h in sizes]
+        self.act = [np.empty((n_samples, h)) for h in sizes[:-1]]
+        self.slope = [np.empty((n_samples, h)) for h in sizes[:-1]]
+        self.step = [np.empty((n_samples, h)) for h in sizes[:-1]]
+
+
 def _forward(
     layers: list[tuple[np.ndarray, np.ndarray]],
     inputs: np.ndarray,
     activation: ActivationFunction,
+    work: Workspace | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The forward loop: per layer, the signal entering it and its pre-activations."""
+    """The forward loop: per layer, the signal entering it and its pre-activations.
+
+    Without ``work`` every array is new; with it, the pre-activations and
+    activations are written into its buffers.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     n_inputs = layers[0][1].shape[1]
     if x.ndim != 2 or x.shape[1] != n_inputs:
         raise ValueError(f"inputs must have shape (P, {n_inputs}), got {x.shape}")
     depth = len(layers)
+    # Without a workspace every slot is None, and numpy allocates the result.
+    pre_out, act_out = (work.pre, work.act) if work is not None else ([None] * depth,) * 2
     signals = []
     pre = []
     z = x
     for layer, (b, w) in enumerate(layers, start=1):
         signals.append(z)
-        a = z @ w.T
+        a = np.matmul(z, w.T, pre_out[layer - 1])
         a += b
         pre.append(a)
         if layer < depth:
-            z = activation.value(a)
+            z = activation.value(a, act_out[layer - 1])
     return signals, pre
 
 
@@ -306,10 +350,13 @@ def forward(
     return ActivationRecord(tuple(a[0] for a in pre))
 
 
-def _mean_risk(targets: np.ndarray, outputs: np.ndarray) -> float:
-    """Mean over the samples of the per-sample MSE, as sum over count like ``np.mean``."""
-    per_sample = MSE.value(targets, outputs)
-    return float(per_sample.sum() / per_sample.size)
+def _mean_risk(residual: np.ndarray) -> float:
+    """Mean over the samples of the per-sample MSE, as sum over count like ``np.mean``.
+
+    Takes the residual ``outputs - targets``, so that the gradient can share it.
+    """
+    per_sample = _per_sample_mse(residual)
+    return float(np.add.reduce(per_sample) / per_sample.size)
 
 
 def empirical_risk(
@@ -328,4 +375,4 @@ def empirical_risk(
             f"{theta.topology.n_outputs}), got {targets.shape}"
         )
     outputs = forward_batch(theta, inputs, activation)[-1]
-    return _mean_risk(targets, outputs)
+    return _mean_risk(outputs - targets)

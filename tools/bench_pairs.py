@@ -22,9 +22,11 @@ as neither), and two verdicts:
   larger share of operations than the parent; else "no gain".
 
 Each workload also gets its failed/attempted operation counts per side.
-Exit codes: 0 when every metric is within its bound and no workload fails a
-larger share of operations on the change, 1 otherwise, 2 for missing,
-unreadable or incomplete reports.
+The last line of the output is the same record as one JSON object, keyed
+by workload, with each metric's paired runs; a ``BENCH_<n>.json`` is built
+from it. Exit codes: 0 when every metric is within its bound and no
+workload fails a larger share of operations on the change, 1 otherwise, 2
+for missing, unreadable or incomplete reports.
 """
 
 from __future__ import annotations
@@ -88,6 +90,8 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "lost": lost,
         "bound": verdict,
         "gain": "gain" if gain else "no gain",
+        "parent_runs": parent,
+        "change_runs": change,
     }
 
 
@@ -156,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: no seed has a report on both sides", file=sys.stderr)
         return 2
     print(render(summary, spec))
+    print(json.dumps(summary, sort_keys=True))
     failing = any(entry["more_failures"] or any(m["bound"] != "within bound"
                                                 for m in entry["metrics"].values())
                   for entry in summary.values())
