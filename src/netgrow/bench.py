@@ -71,11 +71,7 @@ class StandardSolver:
 @dataclass(frozen=True)
 class IncrementalSolver:
     solver_id: str = "ita"
-    config: ItaConfig | None = None  # seed and budget are overridden per cell
-
-    def __post_init__(self) -> None:
-        if self.config is None:
-            object.__setattr__(self, "config", ItaConfig())
+    config: ItaConfig = ItaConfig()  # seed and budget are overridden per cell
 
 
 SolverSpec = StandardSolver | IncrementalSolver

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -35,13 +35,14 @@ from .bench import (
 )
 from .data import Dataset, ParseError, load_delimited, make_synthetic, standardize
 from .growth import apply_growth, random_growth
-from .incremental import ItaConfig, ita_train, standard_train
+from .incremental import ItaConfig, StageRecord, ita_train, standard_train
 from .net_core import Topology
 
 __all__ = ["main"]
 
 # Accept the literature's greek names for the maps as aliases.
 _MAP_ALIASES = {"alpha": "inert", "beta": "constant", "gamma": "split"}
+_DEFAULT_VERIFY_TOPOLOGIES = "2,3,1;2,2,2,1;3,4,2"
 
 
 class UsageError(Exception):
@@ -212,17 +213,9 @@ def _save_run(out: Path, run) -> None:
         "solver": run.solver,
         "cumulative_epochs": run.cumulative_epochs,
         "final_risk": run.final_risk,
-        "stages": [
-            {
-                "widths": list(stage.widths),
-                "start_risk": stage.start_risk,
-                "end_risk": stage.end_risk,
-                "end_grad_norm": stage.end_grad_norm,
-                "iterations": stage.iterations,
-                "termination": stage.termination,
-            }
-            for stage in run.stages
-        ],
+        # Every stage field but the per-epoch histories, which metrics.jsonl holds.
+        "stages": [{f.name: getattr(stage, f.name) for f in fields(StageRecord)
+                    if f.name not in ("f_history", "g_history")} for stage in run.stages],
     })
 
 
@@ -293,12 +286,16 @@ def cmd_verify(args) -> int:
         raise UsageError(f"{flag} checks a fixed teacher network, not --model")
     if args.data and not args.model:
         raise UsageError("--data applies only with --model; random networks use fixed fixtures")
+    if args.model and args.topologies is not None:
+        raise UsageError("--topologies applies only to random networks; --model fixes the topology")
     if args.model:
         theta = model_io.load_model(args.model)
         data = _resolve_dataset(args) if args.data else None
         records = stationarity.model_risk_records(theta, data, str(args.model), kinds,
                                                   args.seeds, args.seed)
     else:
+        if args.topologies is None:  # resolved here, so config.json echoes what ran
+            args.topologies = _DEFAULT_VERIFY_TOPOLOGIES
         topologies = [Topology(tuple(_parse_list("--topologies", text, int)))
                       for text in args.topologies.split(";")]
         if any(topology.depth < 2 for topology in topologies):
@@ -455,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(verify)
     verify.add_argument("--model", default=None,
                         help="check a saved model instead of random networks")
-    verify.add_argument("--topologies", default="2,3,1;2,2,2,1;3,4,2")
+    verify.add_argument("--topologies", help=f"random networks only ({_DEFAULT_VERIFY_TOPOLOGIES})")
     verify.add_argument("--maps", default="inert,constant,split")
     verify.add_argument("--seeds", type=int, default=10)
     verify.add_argument("--seed", type=int, default=0)

@@ -31,10 +31,12 @@ __all__ = [
 ]
 
 RISK_CONTINUITY_RTOL = 1e-12
+INTERMEDIATE_REL_GRAD_FACTOR = 0.1  # share of the stage-start gradient norm
+GROWTH_DRAW_LIMIT = 10  # draws per widening before GrowthEscapeError
 
 
 class GrowthEscapeError(RuntimeError):
-    """Every retry of the growth draw left the gradient below the stage tolerance."""
+    """No growth draw gave a new neuron's outgoing weights a gradient above ``final_grad_tol``."""
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,11 @@ class ItaConfig:
     ``growth`` is ``"double"`` (add as many neurons as the layer has), or
     per-stage amounts whose last entry repeats (an int is stored as a
     one-entry schedule). Intermediate stages stop once the gradient norm
-    falls to ``intermediate_rel_grad_factor`` times its stage-start value or
+    falls to ``INTERMEDIATE_REL_GRAD_FACTOR`` times its stage-start value or
     the risk improves by less than the absolute ``intermediate_loss_delta``
-    between epochs; the final stage runs at ``final_grad_tol``. Every stage
-    is one default L-BFGS run capped at ``maxit_per_stage`` iterations.
+    between epochs; the final stage runs at ``final_grad_tol``, the bar each
+    growth draw must also clear. Every stage is one default L-BFGS run capped
+    at ``maxit_per_stage`` iterations, ending at its last accepted iterate.
     ``total_epoch_budget`` caps the epochs summed over all stages, leaving
     iterates untouched up to the cap so budget-truncated runs are prefixes of
     longer ones.
@@ -56,14 +59,11 @@ class ItaConfig:
     initial_width: int = 10
     max_width: int = 100
     growth: Union[str, int, Sequence[int]] = "double"
-    intermediate_rel_grad_factor: float = 0.1
     intermediate_loss_delta: float = 1e-2
     final_grad_tol: float = 1e-6
     maxit_per_stage: int = 1000
     seed: int = 0
-    embed_retry_limit: int = 10
     total_epoch_budget: Optional[int] = None
-    stage_tolerances: Optional[tuple[float, ...]] = None
     initial_hidden_widths: Optional[tuple[int, ...]] = None
     experimental_multilayer: bool = False
 
@@ -73,14 +73,10 @@ class ItaConfig:
                 f"need 1 <= initial_width <= max_width, got "
                 f"{self.initial_width}/{self.max_width}"
             )
-        if not 0.0 < self.intermediate_rel_grad_factor <= 1.0:
-            raise ValueError("intermediate_rel_grad_factor must be in (0, 1]")
         if self.intermediate_loss_delta <= 0.0:
             raise ValueError("intermediate_loss_delta must be positive")
         if self.final_grad_tol <= 0.0:
             raise ValueError("final_grad_tol must be positive")
-        if self.embed_retry_limit < 1:
-            raise ValueError("embed_retry_limit must be >= 1")
         if self.maxit_per_stage < 0:
             raise ValueError("maxit_per_stage must be >= 0")
         if self.total_epoch_budget is not None and self.total_epoch_budget < 0:
@@ -94,11 +90,6 @@ class ItaConfig:
             object.__setattr__(self, "growth", amounts)
             if not amounts or any(k < 1 for k in amounts):
                 raise ValueError("growth schedule entries must be >= 1")
-        if self.stage_tolerances is not None:
-            tols = tuple(float(t) for t in self.stage_tolerances)
-            object.__setattr__(self, "stage_tolerances", tols)
-            if any(t <= 0 for t in tols):
-                raise ValueError("stage tolerances must be positive")
         widths = self.initial_hidden_widths
         if widths is not None:
             widths = tuple(int(w) for w in widths)
@@ -163,7 +154,7 @@ class TrainRun:
                 }
 
 
-def _stage_hook(rel_factor: float, loss_delta: float):
+def _stage_hook(loss_delta: float):
     state: dict = {}
 
     def hook(iteration: int, x, f: float, g) -> bool:
@@ -174,7 +165,7 @@ def _stage_hook(rel_factor: float, loss_delta: float):
             return False
         improved_by = abs(f - state["prev_f"])
         state["prev_f"] = f
-        if grad_norm <= rel_factor * state["start_grad"]:
+        if grad_norm <= INTERMEDIATE_REL_GRAD_FACTOR * state["start_grad"]:
             return True
         return improved_by <= loss_delta
 
@@ -194,9 +185,10 @@ def _concat_traces(stages: Sequence[StageRecord]) -> tuple[tuple[float, ...], tu
 def ita_train(data, cfg: ItaConfig) -> TrainRun:
     """Train with progressive widening until every hidden layer reaches the cap.
 
-    Each growth re-draws its uniform(0,1) parameters until the grown gradient
-    norm clears the stage tolerance (the risk itself is asserted unchanged);
-    :class:`GrowthEscapeError` is raised when the retries run out.
+    Each growth re-draws its uniform(0,1) parameters, at most
+    ``GROWTH_DRAW_LIMIT`` times, until a new neuron's outgoing-weight gradient
+    passes ``final_grad_tol`` (the risk itself is asserted unchanged);
+    :class:`GrowthEscapeError` is raised when the draws run out.
     """
     return _train(data, cfg, "ita")
 
@@ -243,9 +235,7 @@ def _train(data, cfg: ItaConfig, solver: str) -> TrainRun:
         max_iter = cfg.maxit_per_stage
         if budget is not None:
             max_iter = min(max_iter, budget - epochs_used)
-        hook = None if final_stage else _stage_hook(
-            cfg.intermediate_rel_grad_factor, cfg.intermediate_loss_delta
-        )
+        hook = None if final_stage else _stage_hook(cfg.intermediate_loss_delta)
         result = lbfgs_minimize(
             risk_objective(theta.topology, data),
             theta.flat,
@@ -271,21 +261,8 @@ def _train(data, cfg: ItaConfig, solver: str) -> TrainRun:
         if final_stage or out_of_budget:
             break
 
-        # After growth the copied parameters keep their gradient entries, so
-        # the grown max-norm can only exceed the achieved norm through the new
-        # entries. Demanding more than the smaller of (achieved norm, final
-        # tolerance) keeps the test meaningful near stationarity without
-        # being unsatisfiable after a loss-delta stop.
-        if cfg.stage_tolerances is not None:
-            k = min(stage_index, len(cfg.stage_tolerances) - 1)
-            escape_tol = cfg.stage_tolerances[k]
-        else:
-            escape_tol = min(result.grad_norm_final, cfg.final_grad_tol)
         theta = _grow_stage(
-            theta, cfg, rng, data,
-            stage_index=stage_index,
-            stage_end_risk=result.f_final,
-            stage_tol=escape_tol,
+            theta, cfg, rng, data, stage_index=stage_index, stage_end_risk=result.f_final
         )
         stage_index += 1
 
@@ -308,9 +285,13 @@ def _grow_stage(
     *,
     stage_index: int,
     stage_end_risk: float,
-    stage_tol: float,
 ) -> ParamVector:
-    """Widen every growable hidden layer, retrying draws until the gradient wakes."""
+    """Widen every growable hidden layer, retrying draws until the new neurons wake.
+
+    A draw is accepted once the largest |gradient| over the new neurons'
+    outgoing weights (the columns each step appends to the block above)
+    exceeds ``cfg.final_grad_tol``.
+    """
     steps = []
     for layer, width in enumerate(theta.topology.layer_sizes[1:-1], start=1):
         amount = min(cfg.growth_amount(stage_index, width), cfg.max_width - width)
@@ -320,15 +301,20 @@ def _grow_stage(
         raise RuntimeError("growth step requested but every layer is at max width")
     plan = GrowthPlan(tuple(steps))
 
-    for _ in range(cfg.embed_retry_limit):
+    old_widths = theta.topology.layer_sizes
+    for _ in range(GROWTH_DRAW_LIMIT):
         candidate = apply_plan(theta, plan, rng=rng)
         risk, grad = risk_and_gradient(candidate, data)
         if abs(risk - stage_end_risk) > RISK_CONTINUITY_RTOL * (1.0 + abs(stage_end_risk)):
             raise RuntimeError(
                 f"growth changed the risk: {stage_end_risk!r} -> {risk!r}"
             )
-        if float(np.abs(grad).max()) > stage_tol:
+        blocks = ParamVector(candidate.topology, grad).layer_blocks()
+        wake = max(float(np.abs(blocks[step.layer][:, 1 + old_widths[step.layer]:]).max())
+                   for step in steps)
+        if wake > cfg.final_grad_tol:
             return candidate
     raise GrowthEscapeError(
-        f"{cfg.embed_retry_limit} growth draws left the gradient below {stage_tol:.3e}"
+        f"{GROWTH_DRAW_LIMIT} growth draws left the new neurons' outgoing-weight "
+        f"gradient at or below final_grad_tol {cfg.final_grad_tol:.3e}"
     )

@@ -180,7 +180,8 @@ def lbfgs_minimize(
 
     Stops on the max-norm gradient tolerance, the iteration cap, a line
     search failure, or ``stop_hook(iteration, x, f, grad)`` returning True.
-    The result carries the best iterate seen, per-iteration value and
+    The result carries the last accepted iterate (a failed line search
+    leaves it where the previous step put it), per-iteration value and
     gradient-norm histories (entry 0 is the starting point), the number of
     objective calls, and the termination reason.
     """
@@ -201,7 +202,6 @@ def lbfgs_minimize(
     g_inf = float(np.abs(g).max()) if g.size else 0.0
     f_history = [f]
     g_history = [g_inf]
-    best_f, best_x, best_g_inf = f, x.copy(), g_inf
 
     s_mem: deque = deque(maxlen=cfg.memory)
     y_mem: deque = deque(maxlen=cfg.memory)
@@ -258,20 +258,11 @@ def lbfgs_minimize(
         iterations += 1
         f_history.append(f)
         g_history.append(g_inf)
-        if f <= best_f:
-            best_f, best_x, best_g_inf = f, x.copy(), g_inf
 
-    # A failed line search leaves the current point wherever the search died;
-    # fall back to the best value seen. Normal stops report the point that
-    # actually met the stopping test.
-    if termination == "line_search_fail":
-        out_f, out_x, out_g = best_f, best_x, best_g_inf
-    else:
-        out_f, out_x, out_g = f, x, g_inf
     return OptimResult(
-        theta=out_x,
-        f_final=out_f,
-        grad_norm_final=out_g,
+        theta=x,
+        f_final=f,
+        grad_norm_final=g_inf,
         iterations=iterations,
         f_history=f_history,
         g_history=g_history,

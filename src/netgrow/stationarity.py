@@ -142,7 +142,7 @@ def find_stationary_point(
             detail = f"max|θ| {np.max(np.abs(result.theta)):.1f} > {DIVERGENCE_BOUND:g}"
         else:
             outcome = result.termination
-            detail = f"best gradient norm {result.grad_norm_final:.3e}"
+            detail = f"final gradient norm {result.grad_norm_final:.3e}"
         raise NonConvergenceError(
             result.grad_norm_final, outcome, result.iterations, result.evaluations, detail
         )

@@ -195,7 +195,7 @@ def test_failed_cells_are_recorded_not_fatal():
         solver_id="broken",
         config=ItaConfig(
             initial_width=2, max_width=8, maxit_per_stage=4,
-            stage_tolerances=(1e12,), embed_retry_limit=1,
+            final_grad_tol=1e12,
         ),
     )
     result = run_benchmark([problem], [StandardSolver(width=8), broken],

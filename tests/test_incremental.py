@@ -25,10 +25,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ItaConfig(initial_width=200, max_width=100)
     with pytest.raises(ValueError):
-        ItaConfig(intermediate_rel_grad_factor=0.0)
-    with pytest.raises(ValueError):
-        ItaConfig(embed_retry_limit=0)
-    with pytest.raises(ValueError):
         ItaConfig(initial_hidden_widths=(4, 4))  # multilayer needs the flag
 
 
@@ -108,14 +104,13 @@ def test_deterministic_under_seed(problem):
 
 
 def test_escape_error_when_tolerance_unreachable(problem):
-    # an absurd stage tolerance can never be exceeded by the grown gradient
+    # an absurd final tolerance can never be exceeded by the grown gradient
     cfg = ItaConfig(
         initial_width=4,
         max_width=8,
         seed=1,
         maxit_per_stage=5,
-        stage_tolerances=(1e12,),
-        embed_retry_limit=2,
+        final_grad_tol=1e12,
     )
     with pytest.raises(GrowthEscapeError):
         ita_train(problem, cfg)

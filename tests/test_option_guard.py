@@ -46,7 +46,8 @@ def test_no_loss_parameter_and_activation_only_in_the_math_layer(function):
 
 def test_one_lbfgs_setting_and_one_stage_stop_rule():
     fields = {f.name for f in dataclasses.fields(incremental.ItaConfig)}
-    assert not fields & {"lbfgs", "loss_delta_relative"}
+    assert not fields & {"lbfgs", "loss_delta_relative", "stage_tolerances",
+                         "embed_retry_limit", "intermediate_rel_grad_factor"}
     assert "lbfgs" not in inspect.signature(incremental.standard_train).parameters
 
 

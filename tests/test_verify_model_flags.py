@@ -23,7 +23,8 @@ def _saved_model(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--transfer"], ["--expect-escape"],
-                                   ["--transfer", "--expect-escape"]])
+                                   ["--transfer", "--expect-escape"],
+                                   ["--topologies", "9,9,9"]])
 def test_teacher_checks_with_a_saved_model_are_a_usage_error(tmp_path, capsys, flags):
     model = _saved_model(tmp_path)
     out = tmp_path / "v"

@@ -13,9 +13,11 @@ temporary directory and with relative ``--out`` paths, so the echoed
 one ``<sha256>  <path>`` line per output file, sorted by path, followed by
 ``#`` lines with deterministic counts: the ``risk_and_gradient`` calls of
 each certify-panel run (``verify --maps , --transfer --expect-escape --seed
-s`` for s = 0, 100, 200, 300) and their total. Outputs whose floating-point
-rounding a change moves show up as changed lines; a change meant to keep
-results byte-identical leaves the output equal to the manifest.
+s`` for s = 0, 100, 200, 300), their total, and the calls made through
+``netgrow.incremental`` over the command list, one per growth draw of the
+``ita`` and ``bench`` runs. Outputs whose floating-point rounding a change
+moves show up as changed lines; a change meant to keep results
+byte-identical leaves the output equal to the manifest.
 
 ``--check`` compares a fresh run with the committed ``GOLDEN.sha256``
 instead of printing it: it lists the lines whose value moved, the lines
@@ -90,8 +92,8 @@ COMMANDS = (
 
 
 @contextlib.contextmanager
-def counting_gradient_calls():
-    """Count ``risk_and_gradient`` calls at every netgrow module that binds it."""
+def counting_gradient_calls(prefix: str = "netgrow"):
+    """Count ``risk_and_gradient`` calls at every module under ``prefix`` that binds it."""
     original = autodiff.risk_and_gradient
     calls = [0]
 
@@ -100,7 +102,7 @@ def counting_gradient_calls():
         return original(*args, **kwargs)
 
     modules = [module for name, module in sys.modules.items()
-               if name.startswith("netgrow") and getattr(module, "risk_and_gradient", None) is original]
+               if name.startswith(prefix) and getattr(module, "risk_and_gradient", None) is original]
     for module in modules:
         module.risk_and_gradient = counted
     try:
@@ -130,8 +132,9 @@ def manifest() -> list[str]:
         model_io.save_model(ParamVector(topology, weights), work / "source.bin")
         os.chdir(work)
         try:
-            for argv in COMMANDS:
-                run(argv)
+            with counting_gradient_calls("netgrow.incremental") as draws:
+                for argv in COMMANDS:
+                    run(argv)
             for seed in PANEL_SEEDS:
                 with counting_gradient_calls() as calls:
                     run(["verify", "--maps", ",", "--transfer", "--expect-escape",
@@ -145,6 +148,7 @@ def manifest() -> list[str]:
     for seed, calls in counts:
         lines.append(f"# risk_and_gradient calls, certify panel seed {seed}: {calls}")
     lines.append(f"# risk_and_gradient calls, certify panel total: {sum(calls for _, calls in counts)}")
+    lines.append(f"# risk_and_gradient calls, growth draws over the command list: {draws[0]}")
     return lines
 
 
