@@ -105,8 +105,6 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> l
     path = Path(argv[at + 1])
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(payload, dict):
@@ -384,7 +382,6 @@ def cmd_bench(args) -> int:
 def cmd_profile(args) -> int:
     if not args.table:
         raise UsageError("give at least one --table")
-    out = _out_dir(args)
     alphas = np.array(_parse_list("--alphas", args.alphas, float))
     if alphas.size == 1:
         stop = alphas[0]
@@ -392,9 +389,9 @@ def cmd_profile(args) -> int:
             raise UsageError(f"--alphas grid end must be a finite number >= 1, got {args.alphas!r}")
         count = round((stop - 1.0) / 0.05) + 1
         alphas = np.linspace(1.0, stop, count)
-    for table_path in args.table:
-        path = Path(table_path)
-        table = load_results_tsv(path)
+    tables = [(Path(table_path), load_results_tsv(table_path)) for table_path in args.table]
+    out = _out_dir(args)
+    for path, table in tables:
         ratio = performance_ratio(table)
         curve = replace(performance_profile(ratio, alphas), solver_ids=table.solver_ids)
         target = out / f"profile_{path.stem}.tsv"
@@ -505,7 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(target_cols, str) and not target_cols.startswith("last-"):
             args.target_cols = _parse_list("--target-cols", target_cols, int)
         return args.func(args)
-    except (UsageError, FileNotFoundError, ParseError, ValueError) as exc:
+    except (UsageError, ParseError, ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, FileExistsError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures

@@ -24,7 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .net_core import ParamVector, Topology
+from .net_core import ParamVector, Topology, _block_views
 
 __all__ = [
     "InertGrowth",
@@ -117,14 +117,34 @@ class SplitGrowth:
 GrowthSpec = Union[InertGrowth, ConstantGrowth, SplitGrowth]
 
 
-def _widen(theta: ParamVector, layer: int, rows: np.ndarray, upper: np.ndarray) -> ParamVector:
-    """Stack the new ``rows`` under block ``layer`` and replace block ``layer + 1`` by ``upper``."""
-    blocks = theta.layer_blocks()
-    blocks[layer - 1] = np.vstack([blocks[layer - 1], rows])
-    blocks[layer] = upper
+def _widen(theta: ParamVector, layer: int, count: int, biases, in_weights, out_weights,
+           edit: tuple[int, np.ndarray] | None = None) -> ParamVector:
+    """Add ``count`` neurons to ``layer`` in one newly allocated flat vector.
+
+    ``biases`` and ``in_weights`` fill block ``layer``'s new rows, ``out_weights``
+    block ``layer + 1``'s new columns and ``edit = (j, values)`` its column j.
+    All else is copied once: all before the new rows and all after block
+    ``layer + 1`` as one slice each, block ``layer + 1`` into its first columns.
+    """
+    if count == 0:  # e.g. a lone share of 1, which leaves the source untouched
+        return theta
     sizes = list(theta.topology.layer_sizes)
-    sizes[layer] += rows.shape[0]
-    return ParamVector(Topology(tuple(sizes)), np.concatenate([block.ravel() for block in blocks]))
+    sizes[layer] += count
+    topology = Topology(tuple(sizes))
+    flat = np.empty(topology.n_params)
+    blocks, grown = theta.layer_blocks(), _block_views(sizes, flat)
+    rows, upper = grown[layer - 1][-count:], grown[layer]
+    kept = blocks[layer].shape[1]
+    start = sum(block.size for block in blocks[:layer])  # where the new rows begin
+    flat[:start] = theta.flat[:start]
+    flat[start + rows.size + upper.size :] = theta.flat[start + blocks[layer].size :]
+    rows[:, 0] = biases
+    rows[:, 1:] = in_weights
+    upper[:, :kept] = blocks[layer]
+    upper[:, kept:] = out_weights
+    if edit is not None:
+        upper[:, edit[0]] = edit[1]
+    return ParamVector._adopt(topology, flat)
 
 
 def grow_inert(
@@ -140,12 +160,7 @@ def grow_inert(
     count = biases.size
     below = topology.size(layer - 1)
     in_weights = np.asarray(in_weights, dtype=np.float64).reshape(count, below)
-    if count == 0:
-        return theta
-
-    upper = theta.layer_blocks()[layer]
-    rows = np.hstack([biases[:, None], in_weights])
-    return _widen(theta, layer, rows, np.hstack([upper, np.zeros((upper.shape[0], count))]))
+    return _widen(theta, layer, count, biases, in_weights, 0.0)
 
 
 def grow_constant(
@@ -168,13 +183,8 @@ def grow_constant(
     count = biases.size
     above = topology.size(layer + 1)
     out_weights = np.asarray(out_weights, dtype=np.float64).reshape(above, count)
-    if count == 0:
-        return theta
-
-    upper = theta.layer_blocks()[layer]
-    rows = np.hstack([biases[:, None], np.zeros((count, topology.size(layer - 1)))])
-    shifted = upper[:, 0] - out_weights @ np.tanh(biases)
-    return _widen(theta, layer, rows, np.hstack([shifted[:, None], upper[:, 1:], out_weights]))
+    shifted = theta.layer_blocks()[layer][:, 0] - out_weights @ np.tanh(biases)
+    return _widen(theta, layer, count, biases, 0.0, out_weights, (0, shifted))
 
 
 def grow_split(
@@ -201,16 +211,11 @@ def grow_split(
     # Negated so that a NaN sum fails the check rather than passing it.
     if not abs(total - 1.0) <= SHARE_SUM_TOL:
         raise ValueError(f"shares must sum to 1, got {total}")
-    if count == 0:
-        # A lone share of 1 leaves the source untouched.
-        return theta
-
-    blocks = theta.layer_blocks()
+    lower, upper = theta.layer_blocks()[layer - 1 : layer + 1]
     # Column 0 of the next block holds its biases, so neuron j is column 1 + j.
-    col = blocks[layer][:, 1 + source]
-    upper = np.hstack([blocks[layer], col[:, None] * shares[1:][None, :]])
-    upper[:, 1 + source] = shares[0] * col
-    return _widen(theta, layer, np.tile(blocks[layer - 1][source], (count, 1)), upper)
+    col = upper[:, 1 + source]
+    return _widen(theta, layer, count, lower[source, 0], lower[source, 1:],
+                  col[:, None] * shares[1:][None, :], (1 + source, shares[0] * col))
 
 
 def apply_growth(

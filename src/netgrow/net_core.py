@@ -88,20 +88,31 @@ def param_count(topology: Topology) -> int:
     return topology.n_params
 
 
+def _block_views(sizes: Sequence[int], flat: np.ndarray) -> list[np.ndarray]:
+    """Per layer ``(H, 1 + H_prev)`` views of a flat vector laid out for ``sizes``."""
+    blocks, offset = [], 0
+    for h_prev, h in zip(sizes, sizes[1:]):
+        blocks.append(flat[offset : offset + h * (1 + h_prev)].reshape(h, 1 + h_prev))
+        offset += h * (1 + h_prev)
+    return blocks
+
+
 @dataclass(frozen=True, eq=False)
 class ParamVector:
     """A flat parameter vector bound to its topology.
 
-    The array is copied on construction and frozen, so instances can be
-    shared freely; every operation that changes parameters returns a new
-    vector.
+    The array is copied on construction (arrays the library has just filled
+    skip the copy through :meth:`_adopt`) and frozen, so instances can be
+    shared freely; every operation that changes parameters returns a new vector.
     """
 
     topology: Topology
     flat: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.flat, dtype=np.float64).ravel()
+        self._freeze(np.array(self.flat, dtype=np.float64).ravel())
+
+    def _freeze(self, arr: np.ndarray) -> None:
         q = param_count(self.topology)
         if arr.size != q:
             raise ValueError(
@@ -110,6 +121,17 @@ class ParamVector:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "flat", arr)
+
+    @classmethod
+    def _adopt(cls, topology: Topology, flat: np.ndarray) -> "ParamVector":
+        """Check the size of ``flat`` and freeze it in place: no copy. Only for
+        :meth:`from_layer_arrays`, ``growth._widen`` and ``model_io.load_model``,
+        which pass a native float64 1-D array they have just filled and keep no view of.
+        """
+        theta = cls.__new__(cls)
+        object.__setattr__(theta, "topology", topology)
+        theta._freeze(flat)
+        return theta
 
     def __len__(self) -> int:
         return self.flat.size
@@ -128,31 +150,23 @@ class ParamVector:
         if len(layers) != topology.depth:
             raise ValueError(f"expected {topology.depth} layers, got {len(layers)}")
         flat = np.empty(topology.n_params)
-        offset = 0
-        sizes = topology.layer_sizes
-        for layer, (b, w) in enumerate(layers, start=1):
+        blocks = _block_views(topology.layer_sizes, flat)
+        for layer, ((b, w), block) in enumerate(zip(layers, blocks), start=1):
             b = np.asarray(b, dtype=np.float64).reshape(-1)
             w = np.asarray(w, dtype=np.float64)
-            h_prev, h = sizes[layer - 1], sizes[layer]
-            if b.shape != (h,) or w.shape != (h, h_prev):
+            h, cols = block.shape
+            if b.shape != (h,) or w.shape != (h, cols - 1):
                 raise ValueError(
                     f"layer {layer}: expected biases ({h},) and weights "
-                    f"({h}, {h_prev}), got {b.shape} and {w.shape}"
+                    f"({h}, {cols - 1}), got {b.shape} and {w.shape}"
                 )
-            block = flat[offset : offset + h * (1 + h_prev)].reshape(h, 1 + h_prev)
             block[:, 0] = b
             block[:, 1:] = w
-            offset += block.size
-        return cls(topology, flat)
+        return cls._adopt(topology, flat)
 
     def layer_blocks(self) -> list[np.ndarray]:
         """Per layer ``(H, 1 + H_prev)`` views of the flat vector: bias column, then weights."""
-        blocks, offset = [], 0
-        sizes = self.topology.layer_sizes
-        for h_prev, h in zip(sizes, sizes[1:]):
-            blocks.append(self.flat[offset : offset + h * (1 + h_prev)].reshape(h, 1 + h_prev))
-            offset += h * (1 + h_prev)
-        return blocks
+        return _block_views(self.topology.layer_sizes, self.flat)
 
     def layer_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per layer ``(biases (H,), weights (H, H_prev))`` views of the flat vector."""
