@@ -390,6 +390,12 @@ def cmd_profile(args) -> int:
         count = round((stop - 1.0) / 0.05) + 1
         alphas = np.linspace(1.0, stop, count)
     tables = [(Path(table_path), load_results_tsv(table_path)) for table_path in args.table]
+    stems: dict[str, Path] = {}
+    for path, _ in tables:
+        if path.stem in stems:
+            raise UsageError(f"--table {stems[path.stem]} and --table {path} would both "
+                             f"write profile_{path.stem}.tsv")
+        stems[path.stem] = path
     out = _out_dir(args)
     for path, table in tables:
         ratio = performance_ratio(table)

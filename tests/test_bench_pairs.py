@@ -123,3 +123,25 @@ def test_command_line_table_and_exit_codes(checkouts, capsys, tmp_path):
     assert bench_pairs.main([str(parent / ".perfbench_out"), str(change)]) == 2  # not a checkout
     (change / ".perfbench_out" / "certify-seed1-trace0.json").write_text('{"wall_s": 1.0}')
     assert bench_pairs.main(args) == 2  # a report without the other metrics
+
+
+def test_mount_of_picks_the_deepest_and_latest_mount_holding_the_path(tmp_path):
+    mounts = "\n".join([
+        "/dev/vda / ext4 rw,relatime,discard 0 0",
+        "tmpfs /mnt/a\\040b tmpfs rw,nosuid 0 0",
+        "none /mnt/a\\040b/c overlay ro 0 0",
+        "tmpfs /mnt/a\\040b tmpfs rw,noexec 0 0",
+    ])
+    assert bench_pairs.mount_of(Path("/mnt/a b/d/.perfbench_out"), mounts) == {
+        "type": "tmpfs", "mount_point": "/mnt/a b", "options": "rw,noexec"}
+    assert bench_pairs.mount_of(Path("/mnt/a b/c"), mounts)["type"] == "overlay"
+    assert bench_pairs.mount_of(Path("/srv"), mounts)["options"] == "rw,relatime,discard"
+    assert bench_pairs.mount_of(Path("/srv"), "") is None
+
+
+def test_the_output_names_the_filesystem_of_each_side(checkouts, capsys, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "MOUNTS", Path("/nonexistent/mounts"))
+    bench_pairs.main([str(p) for p in checkouts])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:-1] == ["parent reports on an unknown filesystem",
+                            "change reports on an unknown filesystem"]

@@ -1,6 +1,7 @@
 """Repeatable flags under --config: command-line values replace the configured list,
 and the configured list applies when the flag is absent. Without any value, bench
-and profile exit 2 before creating their output directory."""
+and profile exit 2 before creating their output directory, and so does profile
+when two tables share a stem."""
 
 import json
 
@@ -60,6 +61,19 @@ def test_profile_table_from_config_when_flag_absent(tmp_path):
 def test_profile_without_any_table_exits_2(tmp_path, capsys):
     assert main(["profile", "--out", str(tmp_path / "p")]) == 2
     assert "--table" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_profile_tables_sharing_a_stem_exit_2(tmp_path, capsys):
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    b5, _ = _tables(first)
+    _tables(second)
+    other = str(second / "results_b5.tsv")
+    assert main(["profile", "--table", b5, "--table", other, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert b5 in err and other in err and "profile_results_b5.tsv" in err
     assert not (tmp_path / "p").exists()
 
 

@@ -20,7 +20,7 @@ from netgrow.autodiff import risk_objective
 from netgrow.cli import main
 from netgrow.data import Dataset
 from netgrow.growth import SplitGrowth, apply_growth, random_growth
-from netgrow.model_io import load_model, save_model
+from netgrow.model_io import load_model, load_model_text, save_model, save_model_text
 
 KINDS = ("inert", "constant", "split")
 
@@ -209,6 +209,14 @@ def test_loading_the_large_model_allocates_one_vector(large_model):
     theta, path = large_model
     # Reading the file into bytes and then copying them allocated 2.0 vectors.
     assert peak_vectors(lambda: load_model(path), theta.flat.nbytes) <= 1.05
+
+
+def test_loading_the_large_text_model_builds_one_vector(large_model, tmp_path):
+    theta, _ = large_model
+    save_model_text(theta, tmp_path / "m.txt")
+    # np.fromiter grows its array while it reads (1.25 vectors at this size);
+    # copying that array into a ParamVector made 2.0.
+    assert peak_vectors(lambda: load_model_text(tmp_path / "m.txt"), theta.flat.nbytes) <= 1.3
 
 
 def test_saving_the_large_model_copies_no_vector(large_model, tmp_path):

@@ -22,8 +22,11 @@ as neither), and two verdicts:
   larger share of operations than the parent; else "no gain".
 
 Each workload also gets its failed/attempted operation counts per side.
-The last line of the output is the same record as one JSON object, keyed
-by workload, with each metric's paired runs; a ``BENCH_<n>.json`` is built
+Before the record, one line per side names the filesystem type, mount point
+and mount options of its ``.perfbench_out`` (from ``/proc/self/mounts``):
+how fast a model file is written over an old one depends on them. The last
+line of the output is the same record as one JSON object, keyed by
+workload, with each metric's paired runs; a ``BENCH_<n>.json`` is built
 from it. Exit codes: 0 when every metric is within its bound and no
 workload fails a larger share of operations on the change, 1 otherwise, 2
 for missing, unreadable or incomplete reports.
@@ -39,6 +42,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MOUNTS = Path("/proc/self/mounts")
 REPORT = re.compile(r"^(?P<workload>[a-z_]+)-seed(?P<seed>\d+)-trace0\.json$")
 GAIN_SHARE = 0.9  # share of pairs the change must win for a claimed gain
 
@@ -55,6 +59,31 @@ def read_reports(checkout: Path) -> dict[str, dict[int, dict]]:
             report = json.loads(file.read_text(encoding="utf-8"))
             reports.setdefault(match["workload"], {})[int(match["seed"])] = report
     return reports
+
+
+def mount_of(path: Path, mounts: str | None = None) -> dict | None:
+    """``{"type", "mount_point", "options"}`` of the mount that holds ``path``,
+    read from ``mounts`` (default: ``/proc/self/mounts``); None where that
+    table cannot be read."""
+    if mounts is None:
+        try:
+            mounts = MOUNTS.read_text(encoding="utf-8")
+        except OSError:
+            return None
+    path, found = path.resolve(), None
+    for line in mounts.splitlines():
+        fields = line.split()
+        if len(fields) < 4:
+            continue
+        # The table writes a space in a mount point as \040, a tab as \011.
+        point = Path(re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), fields[1]))
+        # A later mount on the same point hides the earlier one.
+        if path.is_relative_to(point) and (found is None
+                                           or len(point.parts) >= len(found[0].parts)):
+            found = point, fields[2], fields[3]
+    if found is None:
+        return None
+    return {"type": found[1], "mount_point": str(found[0]), "options": found[2]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -160,6 +189,10 @@ def main(argv: list[str] | None = None) -> int:
         print("error: no seed has a report on both sides", file=sys.stderr)
         return 2
     print(render(summary, spec))
+    for side, checkout in (("parent", args.parent), ("change", args.change)):
+        mount = mount_of(checkout / ".perfbench_out")
+        print(f"{side} reports on " + ("an unknown filesystem" if mount is None else
+              "{type} at {mount_point} ({options})".format(**mount)))
     print(json.dumps(summary, sort_keys=True))
     failing = any(entry["more_failures"] or any(m["bound"] != "within bound"
                                                 for m in entry["metrics"].values())
