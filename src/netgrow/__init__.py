@@ -57,11 +57,9 @@ from .incremental import (
 from .model_io import load_model, load_model_text, save_model, save_model_text
 from .net_core import (
     IDENTITY,
-    MSE,
     TANH,
     ActivationFunction,
     ActivationRecord,
-    LossFunction,
     ParamVector,
     Topology,
     build_topology,

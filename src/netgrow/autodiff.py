@@ -35,6 +35,7 @@ from .net_core import (
     ParamVector,
     Topology,
     Workspace,
+    _checked_data,
     _forward,
     _mean_risk,
     _mse_slope,
@@ -62,17 +63,9 @@ def risk_and_gradient(
     sample count, takes the ``(P, H)`` arrays of the pass; without it they
     are allocated. The returned gradient is a new array either way.
     """
-    inputs = np.asarray(data.inputs, dtype=np.float64)
-    targets = np.asarray(data.targets, dtype=np.float64)
-    n_samples = inputs.shape[0]
-    if n_samples == 0:
-        raise ValueError("dataset is empty")
     topology = theta.topology
-    if targets.shape != (n_samples, topology.n_outputs):
-        raise ValueError(
-            f"targets must have shape ({n_samples}, {topology.n_outputs}), "
-            f"got {targets.shape}"
-        )
+    inputs, targets = _checked_data(topology, data)
+    n_samples = inputs.shape[0]
     depth = topology.depth
     layers = theta.layer_arrays()
     signals, pre = _forward(layers, inputs, activation, work)

@@ -67,6 +67,13 @@ class StandardSolver:
     width: int = 100
     tol: float = 1e-6
 
+    def __post_init__(self) -> None:
+        # Checked here, as ItaConfig checks itself, so a sweep refuses them up front.
+        if self.width < 1:
+            raise ValueError(f"standard width must be >= 1, got {self.width}")
+        if not self.tol > 0.0:
+            raise ValueError(f"standard tol must be positive, got {self.tol}")
+
 
 @dataclass(frozen=True)
 class IncrementalSolver:

@@ -64,7 +64,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
     """Create ``--out`` and echo the effective configuration into it."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
+    payload = {k: v for k, v in vars(args).items() if k != "func"}
     _write_json(out / "config.json", payload)
     return out
 
@@ -219,9 +219,9 @@ def _save_run(out: Path, run) -> None:
 
 def cmd_train(args) -> int:
     data = _resolve_dataset(args)
-    out = _out_dir(args)
+    # standard_train checks --hidden, --tol and --maxit, so --out is made after it.
     run = standard_train(data, args.hidden, tol=args.tol, maxit=args.maxit, seed=args.seed)
-    _save_run(out, run)
+    _save_run(_out_dir(args), run)
     print(f"final risk {run.final_risk!r} after {run.cumulative_epochs} epochs")
     return 0
 
@@ -349,7 +349,7 @@ def cmd_bench(args) -> int:
             )
         else:
             raise UsageError(f"unknown solver {name!r} (use standard, ita)")
-    out = _out_dir(args)
+    # run_benchmark checks the replicas, budgets and names, so --out is made after it.
     result = run_benchmark(
         problems,
         solvers,
@@ -358,6 +358,7 @@ def cmd_bench(args) -> int:
         base_seed=args.seed,
         jobs=args.jobs,
     )
+    out = _out_dir(args)
 
     for budget, table in sorted(result.tables.items()):
         save_results_tsv(table, out / f"results_b{budget}.tsv")

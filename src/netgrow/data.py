@@ -67,7 +67,12 @@ def _resolve_target_columns(spec, n_columns: int) -> list[int]:
         text = spec.strip().lower()
         if not text.startswith("last-"):
             raise ValueError(f"target column spec {spec!r}: use 'last-k' or a list of indices")
-        k = int(text.split("-", 1)[1])
+        try:
+            k = int(text.split("-", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"target column spec {spec!r}: k in 'last-k' must be an integer"
+            ) from None
         if not 1 <= k < n_columns:
             raise ValueError(f"'last-{k}' out of range for {n_columns} columns")
         return list(range(n_columns - k, n_columns))
@@ -104,6 +109,8 @@ def load_delimited(
     sorted distinct values. Feature columns must be numeric; violations are
     reported with their line number.
     """
+    if not delimiter:
+        raise ValueError(f"delimiter must be a non-empty string, got {delimiter!r}")
     path = Path(path)
     rows: list[list[str]] = []
     line_numbers: list[int] = []

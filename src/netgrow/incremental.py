@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import risk_and_gradient, risk_objective
 from .growth import GrowthPlan, GrowthStep, apply_plan
-from .net_core import ParamVector, Topology, param_count
+from .net_core import ParamVector, Topology, _block_views, param_count
 from .optimizer import LbfgsConfig, lbfgs_minimize
 
 __all__ = [
@@ -41,7 +41,7 @@ class GrowthEscapeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ItaConfig:
-    """Knobs for incremental training of tanh networks under the MSE risk.
+    """Knobs for incremental training of tanh networks under the mean-squared error.
 
     ``growth`` is ``"double"`` (add as many neurons as the layer has), or
     per-stage amounts whose last entry repeats (an int is stored as a
@@ -309,7 +309,7 @@ def _grow_stage(
             raise RuntimeError(
                 f"growth changed the risk: {stage_end_risk!r} -> {risk!r}"
             )
-        blocks = ParamVector(candidate.topology, grad).layer_blocks()
+        blocks = _block_views(candidate.topology.layer_sizes, grad)
         wake = max(float(np.abs(blocks[step.layer][:, 1 + old_widths[step.layer]:]).max())
                    for step in steps)
         if wake > cfg.final_grad_tol:

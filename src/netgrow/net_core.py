@@ -1,8 +1,8 @@
 """Dense feedforward networks with linear outputs and a flat parameter layout.
 
 The networks are tanh hidden layers under a linear output layer, and the
-empirical risk is the mean-squared error (:data:`MSE`). The forward pass and
-the risk take an ``activation`` so that tests can use :data:`IDENTITY` as a
+empirical risk is the mean-squared error. The forward pass and the risk
+take an ``activation`` so that tests can use :data:`IDENTITY` as a
 linear-network oracle; every layer above the gradient assumes tanh.
 
 All parameters live in one flat float64 vector. For each layer (layer 1 maps
@@ -25,10 +25,8 @@ __all__ = [
     "ParamVector",
     "ActivationRecord",
     "ActivationFunction",
-    "LossFunction",
     "TANH",
     "IDENTITY",
-    "MSE",
     "Workspace",
     "build_topology",
     "param_count",
@@ -195,18 +193,17 @@ class ParamVector:
 
 @dataclass(frozen=True, eq=False)
 class ActivationFunction:
-    """Elementwise activation with its derivative, both numpy-vectorized.
+    """Elementwise activation and its slope, both numpy-vectorized.
 
-    ``derivative(t)`` takes the pre-activation; ``derivative_from_value(z)``
-    takes the activation's value ``z = value(t)`` and returns the same slope
-    without evaluating ``value`` again. ``value`` and ``derivative_from_value``
-    take an optional second argument ``out``, an array of the result's shape,
-    and write into it instead of allocating; the bits are the same either way.
+    ``derivative_from_value(z)`` takes the activation's value ``z = value(t)``
+    and returns the slope at ``t`` without evaluating ``value`` again, which
+    is how the backward sweep reuses the forward pass. Both functions take an
+    optional second argument ``out``, an array of the result's shape, and
+    write into it instead of allocating; the bits are the same either way.
     """
 
     name: str
     value: Callable[..., np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
     derivative_from_value: Callable[..., np.ndarray]
 
 
@@ -217,39 +214,15 @@ def _tanh_derivative_from_value(z: np.ndarray, out: np.ndarray | None = None) ->
     return np.subtract(1.0, out, out)
 
 
-def _tanh_derivative(t: np.ndarray) -> np.ndarray:
-    return _tanh_derivative_from_value(np.tanh(t))
-
-
-def _identity_derivative(t: np.ndarray) -> np.ndarray:
-    return np.ones_like(np.asarray(t, dtype=np.float64))
-
-
 def _identity_derivative_from_value(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
-        return _identity_derivative(z)
+        return np.ones_like(np.asarray(z, dtype=np.float64))
     out.fill(1.0)
     return out
 
 
-TANH = ActivationFunction("tanh", np.tanh, _tanh_derivative, _tanh_derivative_from_value)
-IDENTITY = ActivationFunction(
-    "identity", np.positive, _identity_derivative, _identity_derivative_from_value
-)
-
-
-@dataclass(frozen=True, eq=False)
-class LossFunction:
-    """Per-sample loss over the last axis.
-
-    ``value(y, f)`` maps ``(..., m)`` arrays to ``(...,)`` losses;
-    ``derivative_per_output(y, f)`` returns the partial with respect to each
-    model output, same shape as ``f``.
-    """
-
-    name: str
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    derivative_per_output: Callable[[np.ndarray, np.ndarray], np.ndarray]
+TANH = ActivationFunction("tanh", np.tanh, _tanh_derivative_from_value)
+IDENTITY = ActivationFunction("identity", np.positive, _identity_derivative_from_value)
 
 
 def _per_sample_mse(residual: np.ndarray) -> np.ndarray:
@@ -260,19 +233,8 @@ def _per_sample_mse(residual: np.ndarray) -> np.ndarray:
 
 
 def _mse_slope(residual: np.ndarray) -> np.ndarray:
-    """Partial of the per-sample MSE by each output, from ``residual = f - y``."""
+    """Partial of the per-sample mean square by each output, from ``residual = f - y``."""
     return 2.0 * residual / residual.shape[-1]
-
-
-def _mse_value(y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return _per_sample_mse(np.asarray(f) - np.asarray(y))
-
-
-def _mse_derivative(y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return _mse_slope(np.asarray(f, dtype=np.float64) - np.asarray(y, dtype=np.float64))
-
-
-MSE = LossFunction("mse", _mse_value, _mse_derivative)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,12 +328,27 @@ def forward(
 
 
 def _mean_risk(residual: np.ndarray) -> float:
-    """Mean over the samples of the per-sample MSE, as sum over count like ``np.mean``.
+    """Mean over the samples of the per-sample mean square, as sum over count like ``np.mean``.
 
     Takes the residual ``outputs - targets``, so that the gradient can share it.
     """
     per_sample = _per_sample_mse(residual)
     return float(np.add.reduce(per_sample) / per_sample.size)
+
+
+def _checked_data(topology: Topology, data) -> tuple[np.ndarray, np.ndarray]:
+    """``data``'s inputs and targets as float64, checked against ``topology``'s outputs."""
+    inputs = np.asarray(data.inputs, dtype=np.float64)
+    targets = np.asarray(data.targets, dtype=np.float64)
+    n_samples = inputs.shape[0]
+    if n_samples == 0:
+        raise ValueError("dataset is empty")
+    if targets.shape != (n_samples, topology.n_outputs):
+        raise ValueError(
+            f"targets must have shape ({n_samples}, {topology.n_outputs}), "
+            f"got {targets.shape}"
+        )
+    return inputs, targets
 
 
 def empirical_risk(
@@ -380,14 +357,6 @@ def empirical_risk(
     activation: ActivationFunction = TANH,
 ) -> float:
     """Mean-squared error of the network over a dataset (needs ``.inputs``/``.targets``)."""
-    inputs = np.asarray(data.inputs, dtype=np.float64)
-    targets = np.asarray(data.targets, dtype=np.float64)
-    if inputs.shape[0] == 0:
-        raise ValueError("dataset is empty")
-    if targets.shape != (inputs.shape[0], theta.topology.n_outputs):
-        raise ValueError(
-            f"targets must have shape ({inputs.shape[0]}, "
-            f"{theta.topology.n_outputs}), got {targets.shape}"
-        )
+    inputs, targets = _checked_data(theta.topology, data)
     outputs = forward_batch(theta, inputs, activation)[-1]
     return _mean_risk(outputs - targets)

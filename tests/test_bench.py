@@ -205,3 +205,13 @@ def test_failed_cells_are_recorded_not_fatal():
     col = table.solver_ids.index("broken")
     assert np.all(np.isinf(table.values[:, col]))
     assert np.all(np.isfinite(table.values[:, 1 - col]))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"width": 0}, "width must be >= 1, got 0"),
+    ({"tol": 0.0}, "tol must be positive, got 0.0"),
+    ({"tol": float("nan")}, "tol must be positive, got nan"),
+], ids=["zero-width", "zero-tol", "nan-tol"])
+def test_standard_solver_checks_itself(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        StandardSolver(**kwargs)

@@ -1,11 +1,12 @@
 """Repeatable flags under --config: command-line values replace the configured list,
 and the configured list applies when the flag is absent. Without any value, bench
-and profile exit 2 before creating their output directory, and so does profile
-when two tables share a stem."""
+and profile exit 2 before creating their output directory, and so do profile when
+two tables share a stem and bench and train on any other usage error."""
 
 import json
 
 import numpy as np
+import pytest
 
 from netgrow.bench import ResultsTable, save_results_tsv
 from netgrow.cli import main
@@ -77,12 +78,38 @@ def test_profile_tables_sharing_a_stem_exit_2(tmp_path, capsys):
     assert not (tmp_path / "p").exists()
 
 
-def test_bench_usage_errors_leave_no_output_directory(tmp_path, capsys):
-    assert main(["bench", *BENCH_FLAGS, "--out", str(tmp_path / "a")]) == 2
-    assert "--problem" in capsys.readouterr().err
-    assert main(["bench", "--problem", SYNTH_A, "--solvers", "standard,sgd", *BENCH_FLAGS,
-                 "--out", str(tmp_path / "b")]) == 2
-    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+BENCH_USAGE_ERRORS = {
+    "no-problem": ([], "--problem"),
+    "unknown-solver": (["--problem", SYNTH_A, "--solvers", "standard,sgd"], "'sgd'"),
+    "zero-replicas": (["--problem", SYNTH_A, "--replicas", "0"], "replica"),
+    "zero-budget": (["--problem", SYNTH_A, "--budgets", "0"], "budgets"),
+    "no-budget": (["--problem", SYNTH_A, "--budgets", ","], "budgets"),
+    "repeated-problem": (["--problem", SYNTH_A, "--problem", SYNTH_A], "duplicate problem"),
+    "repeated-solver": (["--problem", SYNTH_A, "--solvers", "standard,standard"],
+                        "duplicate solver"),
+    "zero-std-width": (["--problem", SYNTH_A, "--std-width", "0"], "width"),
+    "zero-std-tol": (["--problem", SYNTH_A, "--std-tol", "0"], "tol"),
+}
+
+
+@pytest.mark.parametrize("case", BENCH_USAGE_ERRORS, ids=list(BENCH_USAGE_ERRORS))
+def test_bench_usage_errors_leave_no_output_directory(tmp_path, capsys, case):
+    flags, expected = BENCH_USAGE_ERRORS[case]
+    # Later flags win, so the case's own values override BENCH_FLAGS.
+    assert main(["bench", *BENCH_FLAGS, *flags, "--out", str(tmp_path / "b")]) == 2
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--hidden", "0"], "initial_width"),
+    (["--maxit", "-1"], "maxit_per_stage"),
+    (["--tol", "0"], "final_grad_tol"),
+], ids=["zero-hidden", "negative-maxit", "zero-tol"])
+def test_train_usage_errors_leave_no_output_directory(tmp_path, capsys, flags, expected):
+    assert main(["train", "--data", SYNTH_A, *flags, "--out", str(tmp_path / "o")]) == 2
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_problem_flags_replace_config_list(tmp_path):

@@ -36,8 +36,13 @@ def files(tmp_path):
       "--shares", "0.5,q"], ["--shares", "'q'"]),
     (["embed", "--model", "{d}/m.bin", "--out-model", "{d}/g.bin", "--count", "-2"],
      ["count must be >= 0"]),
+    (["train", "--data", IRIS, "--has-header", "--target-cols", "last-x", "--out", "{d}/o"],
+     ["target column spec", "'last-x'"]),
+    (["train", "--data", IRIS, "--has-header", "--delimiter", "", "--out", "{d}/o"],
+     ["delimiter", "''"]),
 ], ids=["bench-budgets", "profile-alphas-end", "profile-alphas-list", "verify-topologies",
-        "train-target-cols", "ita-growth", "embed-shares", "embed-negative-count"])
+        "train-target-cols", "ita-growth", "embed-shares", "embed-negative-count",
+        "train-target-cols-last", "train-empty-delimiter"])
 def test_malformed_list_flag_exits_2_naming_it(files, capsys, argv, expected):
     code = main([arg.format(d=files) for arg in argv])
     err = capsys.readouterr().err

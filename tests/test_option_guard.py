@@ -61,3 +61,15 @@ def test_bench_has_no_relative_delta_flag(tmp_path):
         main(["bench", "--problem", "synth:sinusoid:n=1,m=1,P=8", "--ita-delta-relative",
               "--out", str(tmp_path / "b")])
     assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("module", [netgrow, net_core], ids=["netgrow", "net_core"])
+def test_no_loss_table(module):
+    assert not hasattr(module, "MSE")
+    assert not hasattr(module, "LossFunction")
+    assert not {"MSE", "LossFunction"} & set(getattr(module, "__all__", ()))
+
+
+def test_activation_carries_one_slope():
+    fields = [f.name for f in dataclasses.fields(net_core.ActivationFunction)]
+    assert fields == ["name", "value", "derivative_from_value"]
