@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,8 +65,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
     """Create ``--out`` and echo the effective configuration into it."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_json(out / "config.json", payload)
+    _write_json(out / "config.json", vars(args))
     return out
 
 
@@ -425,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--maxit", type=int, default=1000)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True)
-    train.set_defaults(func=cmd_train)
 
     ita = commands.add_parser("ita", help="incremental training (grow the hidden layer)")
     ita.add_argument("--data", help="dataset file or synth:kind:k=v,... spec")
@@ -438,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     ita.add_argument("--budget", type=int, default=None, help="total epoch cap")
     ita.add_argument("--seed", type=int, default=0)
     ita.add_argument("--out", required=True)
-    ita.set_defaults(func=cmd_ita)
 
     embed = commands.add_parser("embed", help="widen a saved model")
     embed.add_argument("--model", required=True)
@@ -449,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--source", type=int, default=None, help="neuron to split")
     embed.add_argument("--shares", default=None, help="comma shares for split (sum 1)")
     embed.add_argument("--seed", type=int, default=0)
-    embed.set_defaults(func=cmd_embed)
 
     verify = commands.add_parser("verify", help="certify growth-map guarantees")
     verify.add_argument("--data", help="dataset file or synth:kind:k=v,... spec")
@@ -466,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--expect-escape", action="store_true",
                         help="check that inert growth breaks stationarity")
     verify.add_argument("--out", required=True)
-    verify.set_defaults(func=cmd_verify)
 
     bench = commands.add_parser("bench", help="multi-problem solver sweep")
     _add_data_flags(bench)
@@ -485,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)
-    bench.set_defaults(func=cmd_bench)
 
     profile = commands.add_parser("profile", help="performance profiles from tables")
     profile.add_argument("--table", action=_RepeatableFlag, default=[],
@@ -493,22 +488,29 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--alphas", default="10.0",
                          help="grid end (step 0.05) or explicit comma list")
     profile.add_argument("--out", required=True)
-    profile.set_defaults(func=cmd_profile)
 
     parser.subcommand_parsers = commands.choices
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without ``--config``, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # --config sets subcommand defaults, so such a call gets a parser of its own.
+    parser = build_parser() if "--config" in argv else _shared_parser()
     try:
         argv = _load_config_defaults(parser, argv)
         args = parser.parse_args(argv)
         target_cols = getattr(args, "target_cols", None)
         if isinstance(target_cols, str) and not target_cols.startswith("last-"):
             args.target_cols = _parse_list("--target-cols", target_cols, int)
-        return args.func(args)
+        # Looked up per call, so a cmd_* replaced on the module is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, ParseError, ValueError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, FileExistsError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

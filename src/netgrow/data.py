@@ -76,6 +76,9 @@ def _resolve_target_columns(spec, n_columns: int) -> list[int]:
         if not 1 <= k < n_columns:
             raise ValueError(f"'last-{k}' out of range for {n_columns} columns")
         return list(range(n_columns - k, n_columns))
+    for c in spec:
+        if not -n_columns <= int(c) < n_columns:
+            raise ValueError(f"target column {c} out of range for {n_columns} columns")
     cols = [int(c) % n_columns for c in spec]
     if len(cols) != len(set(cols)):
         raise ValueError(f"duplicate target columns in {list(spec)}")
@@ -104,10 +107,11 @@ def load_delimited(
     """Load a delimited text file into features and targets.
 
     ``target_columns`` is either ``"last-k"`` or a list of 0-based column
-    indices. Numeric target columns pass through; a column with any
-    non-numeric entry is treated as categorical and one-hot encoded over its
-    sorted distinct values. Feature columns must be numeric; violations are
-    reported with their line number.
+    indices; a negative index counts from the end, and one outside the
+    file's columns is a ``ValueError``. Numeric target columns pass through;
+    a column with any non-numeric entry is treated as categorical and one-hot
+    encoded over its sorted distinct values. Feature columns must be numeric;
+    violations are reported with their line number.
     """
     if not delimiter:
         raise ValueError(f"delimiter must be a non-empty string, got {delimiter!r}")

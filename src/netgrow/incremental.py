@@ -73,9 +73,9 @@ class ItaConfig:
                 f"need 1 <= initial_width <= max_width, got "
                 f"{self.initial_width}/{self.max_width}"
             )
-        if self.intermediate_loss_delta <= 0.0:
+        if not self.intermediate_loss_delta > 0.0:
             raise ValueError("intermediate_loss_delta must be positive")
-        if self.final_grad_tol <= 0.0:
+        if not self.final_grad_tol > 0.0:
             raise ValueError("final_grad_tol must be positive")
         if self.maxit_per_stage < 0:
             raise ValueError("maxit_per_stage must be >= 0")

@@ -89,6 +89,7 @@ BENCH_USAGE_ERRORS = {
                         "duplicate solver"),
     "zero-std-width": (["--problem", SYNTH_A, "--std-width", "0"], "width"),
     "zero-std-tol": (["--problem", SYNTH_A, "--std-tol", "0"], "tol"),
+    "nan-ita-delta": (["--problem", SYNTH_A, "--ita-delta", "nan"], "intermediate_loss_delta"),
 }
 
 
@@ -105,7 +106,8 @@ def test_bench_usage_errors_leave_no_output_directory(tmp_path, capsys, case):
     (["--hidden", "0"], "initial_width"),
     (["--maxit", "-1"], "maxit_per_stage"),
     (["--tol", "0"], "final_grad_tol"),
-], ids=["zero-hidden", "negative-maxit", "zero-tol"])
+    (["--tol", "nan"], "final_grad_tol"),
+], ids=["zero-hidden", "negative-maxit", "zero-tol", "nan-tol"])
 def test_train_usage_errors_leave_no_output_directory(tmp_path, capsys, flags, expected):
     assert main(["train", "--data", SYNTH_A, *flags, "--out", str(tmp_path / "o")]) == 2
     assert expected in capsys.readouterr().err

@@ -85,3 +85,12 @@ def test_embed_exits_2_on_a_damaged_model(model_file, capsys, keep):
                  "--out-model", str(Path(model_file).with_name("g.bin"))])
     assert code == 2
     assert str(model_file) in capsys.readouterr().err
+
+
+def test_ita_nan_final_tol_exits_2_before_creating_out(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["ita", "--data", SYNTH, "--h0", "2", "--hmax", "4", "--final-tol", "nan",
+                 "--maxit-per-stage", "5", "--budget", "20", "--out", str(out)])
+    assert code == 2
+    assert "final_grad_tol must be positive" in capsys.readouterr().err
+    assert not out.exists()

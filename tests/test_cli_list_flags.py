@@ -40,9 +40,15 @@ def files(tmp_path):
      ["target column spec", "'last-x'"]),
     (["train", "--data", IRIS, "--has-header", "--delimiter", "", "--out", "{d}/o"],
      ["delimiter", "''"]),
+    # iris.csv has 5 columns, so the valid indices are 0..4 and -5..-1.
+    (["train", "--data", IRIS, "--has-header", "--target-cols", "9", "--out", "{d}/o"],
+     ["target column 9 out of range for 5 columns"]),
+    (["train", "--data", IRIS, "--has-header", "--target-cols=0,-6", "--out", "{d}/o"],
+     ["target column -6 out of range for 5 columns"]),
 ], ids=["bench-budgets", "profile-alphas-end", "profile-alphas-list", "verify-topologies",
         "train-target-cols", "ita-growth", "embed-shares", "embed-negative-count",
-        "train-target-cols-last", "train-empty-delimiter"])
+        "train-target-cols-last", "train-empty-delimiter", "train-target-col-past-end",
+        "train-target-col-before-start"])
 def test_malformed_list_flag_exits_2_naming_it(files, capsys, argv, expected):
     code = main([arg.format(d=files) for arg in argv])
     err = capsys.readouterr().err
@@ -50,3 +56,15 @@ def test_malformed_list_flag_exits_2_naming_it(files, capsys, argv, expected):
     for text in expected:
         assert text in err
     assert not (files / "g.bin").exists()
+    assert not (files / "o").exists()
+
+
+def test_negative_target_column_still_counts_from_the_end(tmp_path):
+    runs = {}
+    for spec in ("-1", "4", "last-1"):
+        out = tmp_path / spec
+        code = main(["train", "--data", IRIS, "--has-header", f"--target-cols={spec}",
+                     "--hidden", "2", "--maxit", "3", "--out", str(out)])
+        assert code == 0
+        runs[spec] = [(out / name).read_bytes() for name in ("model.bin", "metrics.jsonl")]
+    assert runs["-1"] == runs["4"] == runs["last-1"]

@@ -74,6 +74,9 @@ COMMANDS = (
      "--hmax", "20", "--seed", "5", "--out", "bench"],
     ["profile", "--table", "bench/results_b100.tsv", "--table", "bench/results_b300.tsv",
      "--out", "profile"],
+    # Replays the first run from its echoed config; the commands after it share
+    # the parser it must leave unchanged.
+    ["--config", "train/config.json", "train", "--out", "train_config"],
     ["verify", "--seeds", "4", "--negative-controls", "--transfer", "--expect-escape",
      "--out", "verify_controls"],
     ["verify", "--maps", "inert,plan,split", "--topologies", "2,3,3,1;3,4,2", "--seeds", "4",
