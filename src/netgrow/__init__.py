@@ -56,15 +56,10 @@ from .incremental import (
 )
 from .model_io import load_model, load_model_text, save_model, save_model_text
 from .net_core import (
-    IDENTITY,
-    TANH,
-    ActivationFunction,
-    ActivationRecord,
     ParamVector,
     Topology,
     build_topology,
     empirical_risk,
-    forward,
     forward_batch,
     param_count,
 )

@@ -30,8 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from .net_core import (
-    TANH,
-    ActivationFunction,
     ParamVector,
     Topology,
     Workspace,
@@ -53,7 +51,6 @@ __all__ = [
 def risk_and_gradient(
     theta: ParamVector,
     data,
-    activation: ActivationFunction = TANH,
     *,
     work: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
@@ -68,7 +65,7 @@ def risk_and_gradient(
     n_samples = inputs.shape[0]
     depth = topology.depth
     layers = theta.layer_arrays()
-    signals, pre = _forward(layers, inputs, activation, work)
+    signals, pre = _forward(layers, inputs, work)
     residual = pre[-1] - targets
     risk = _mean_risk(residual)
     slope_out, step_out = (work.slope, work.step) if work is not None else ([None] * depth,) * 2
@@ -78,11 +75,13 @@ def risk_and_gradient(
     grads = []
     for layer in range(depth, 0, -1):
         if layer < depth:
-            # signals[layer] holds this layer's activation values. When u has
-            # one column, each entry of u @ W is a single product, and np.dot
-            # forms it with matmul's bits but without matmul's slow loop for
-            # that shape.
-            slope = activation.derivative_from_value(signals[layer], slope_out[layer - 1])
+            # signals[layer] holds this layer's tanh values z, and the slope
+            # is 1 - z**2. When u has one column, each entry of u @ W is a
+            # single product, and np.dot forms it with matmul's bits but
+            # without matmul's slow loop for that shape.
+            z = signals[layer]
+            slope = np.multiply(z, z, slope_out[layer - 1])
+            np.subtract(1.0, slope, slope)
             product = np.dot if u.shape[1] == 1 else np.matmul
             u = product(u, layers[layer][1], step_out[layer - 1])
             u *= slope
@@ -97,7 +96,6 @@ def risk_and_gradient(
 def risk_objective(
     topology: Topology,
     data,
-    activation: ActivationFunction = TANH,
 ):
     """The optimizer's objective: flat parameters -> (risk, flat gradient).
 
@@ -107,7 +105,7 @@ def risk_objective(
     work = Workspace(topology, np.asarray(data.inputs).shape[0])
 
     def objective(flat: np.ndarray):
-        return risk_and_gradient(ParamVector(topology, flat), data, activation, work=work)
+        return risk_and_gradient(ParamVector(topology, flat), data, work=work)
 
     return objective
 
@@ -115,17 +113,18 @@ def risk_objective(
 def gradient_forward(
     theta: ParamVector,
     data,
-    activation: ActivationFunction = TANH,
 ) -> ParamVector:
-    """Gradient of the empirical risk, flat layout matching ``theta``."""
-    _, flat = risk_and_gradient(theta, data, activation)
+    """Gradient of the empirical risk, flat layout matching ``theta``.
+
+    Kept under this name because ``perfbench/tracer.py`` traces it by name.
+    """
+    _, flat = risk_and_gradient(theta, data)
     return ParamVector(theta.topology, flat)
 
 
 def gradient_finite_diff(
     theta: ParamVector,
     data,
-    activation: ActivationFunction = TANH,
     step: float = 1e-6,
 ) -> ParamVector:
     """Central-difference gradient, the test oracle for :func:`gradient_forward`."""
@@ -136,9 +135,9 @@ def gradient_finite_diff(
     for k in range(base.size):
         bumped = base.copy()
         bumped[k] = base[k] + step
-        up = empirical_risk(ParamVector(theta.topology, bumped), data, activation)
+        up = empirical_risk(ParamVector(theta.topology, bumped), data)
         bumped[k] = base[k] - step
-        down = empirical_risk(ParamVector(theta.topology, bumped), data, activation)
+        down = empirical_risk(ParamVector(theta.topology, bumped), data)
         grad[k] = (up - down) / (2.0 * step)
     return ParamVector(theta.topology, grad)
 

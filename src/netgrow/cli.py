@@ -95,31 +95,21 @@ class _RepeatableFlag(argparse.Action):
         setattr(namespace, self.dest, [*items, values])
 
 
-def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Apply --config JSON values as subcommand defaults; flags still override."""
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    path = Path(argv[at + 1])
+def _load_config_defaults(parser: argparse.ArgumentParser, path: str, command: str) -> None:
+    """Apply --config JSON values as ``command``'s defaults; flags still override."""
+    path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    argv = argv[:at] + argv[at + 2 :]
-    command = next((token for token in argv if not token.startswith("-")), None)
-    subparsers = getattr(parser, "subcommand_parsers", {})
-    if command not in subparsers:
-        raise UsageError("--config needs a subcommand to apply to")
     # A config.json written by a command echoes "command" and "config" too.
     echoed = payload.pop("command", command)
     if echoed != command:
         raise UsageError(f"config file {path} is for the {echoed!r} command, not {command!r}")
     payload.pop("config", None)
-    sub = subparsers[command]
+    sub = parser.subcommand_parsers[command]
     known = {action.dest for action in sub._actions}
     unknown = set(payload) - known
     if unknown:
@@ -127,7 +117,6 @@ def _load_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> l
             f"config keys {sorted(unknown)} are not flags of the {command!r} command"
         )
     sub.set_defaults(**payload)
-    return argv
 
 
 _SYNTH_KEYS = ("n", "m", "P", "samples", "noise", "seed", "width", "name")
@@ -239,9 +228,9 @@ def cmd_ita(args) -> int:
         seed=args.seed,
         total_epoch_budget=args.budget,
     )
-    out = _out_dir(args)
+    # --out is made once ita_train returns, so a failed run leaves none behind.
     run = ita_train(data, cfg)
-    _save_run(out, run)
+    _save_run(_out_dir(args), run)
     widths = ",".join(str(s.width) for s in run.stages)
     print(f"stage widths {widths}; final risk {run.final_risk!r} "
           f"after {run.cumulative_epochs} epochs")
@@ -410,9 +399,11 @@ def cmd_profile(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No prefix matching, so --conf is refused rather than taken for --config.
     parser = argparse.ArgumentParser(
         prog="netgrow",
         description="Grow-as-you-train feedforward networks and their benchmarks.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="JSON file of flag defaults (flags override)")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -495,17 +486,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of every call without ``--config``, built on first use."""
+    """The parser every call parses with first, built on first use.
+
+    A ``--config`` call then parses again with a parser of its own.
+    """
     return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # --config sets subcommand defaults, so such a call gets a parser of its own.
-    parser = build_parser() if "--config" in argv else _shared_parser()
     try:
-        argv = _load_config_defaults(parser, argv)
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
+        if args.config is not None:
+            # --config sets subcommand defaults, so it parses again with a parser of its own.
+            parser = build_parser()
+            _load_config_defaults(parser, args.config, args.command)
+            args = parser.parse_args(argv)
+            args.config = None  # config.json echoes the values the file set, not its path
         target_cols = getattr(args, "target_cols", None)
         if isinstance(target_cols, str) and not target_cols.startswith("last-"):
             args.target_cols = _parse_list("--target-cols", target_cols, int)

@@ -211,8 +211,11 @@ def make_synthetic(
     Inputs are uniform on [-2, 2]; ``noise`` adds seeded Gaussian noise to
     the targets.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    for key, value in (("samples", samples), ("n", n), ("m", m)):
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be a finite number >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(-2.0, 2.0, (samples, n))
     origin: dict = {"kind": kind, "noise": noise, "seed": seed}

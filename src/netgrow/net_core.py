@@ -1,9 +1,7 @@
 """Dense feedforward networks with linear outputs and a flat parameter layout.
 
-The networks are tanh hidden layers under a linear output layer, and the
-empirical risk is the mean-squared error. The forward pass and the risk
-take an ``activation`` so that tests can use :data:`IDENTITY` as a
-linear-network oracle; every layer above the gradient assumes tanh.
+The model is fixed: tanh hidden layers under a linear output layer, and the
+mean-squared error as the empirical risk.
 
 All parameters live in one flat float64 vector. For each layer (layer 1 maps
 the inputs into the first hidden layer, layer ``depth`` produces the outputs)
@@ -16,21 +14,16 @@ appends rows to block l and columns to block l + 1; no other block changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Topology",
     "ParamVector",
-    "ActivationRecord",
-    "ActivationFunction",
-    "TANH",
-    "IDENTITY",
     "Workspace",
     "build_topology",
     "param_count",
-    "forward",
     "forward_batch",
     "empirical_risk",
 ]
@@ -191,40 +184,6 @@ class ParamVector:
         return block
 
 
-@dataclass(frozen=True, eq=False)
-class ActivationFunction:
-    """Elementwise activation and its slope, both numpy-vectorized.
-
-    ``derivative_from_value(z)`` takes the activation's value ``z = value(t)``
-    and returns the slope at ``t`` without evaluating ``value`` again, which
-    is how the backward sweep reuses the forward pass. Both functions take an
-    optional second argument ``out``, an array of the result's shape, and
-    write into it instead of allocating; the bits are the same either way.
-    """
-
-    name: str
-    value: Callable[..., np.ndarray]
-    derivative_from_value: Callable[..., np.ndarray]
-
-
-def _tanh_derivative_from_value(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    if out is None:
-        return 1.0 - z * z
-    np.multiply(z, z, out)
-    return np.subtract(1.0, out, out)
-
-
-def _identity_derivative_from_value(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    if out is None:
-        return np.ones_like(np.asarray(z, dtype=np.float64))
-    out.fill(1.0)
-    return out
-
-
-TANH = ActivationFunction("tanh", np.tanh, _tanh_derivative_from_value)
-IDENTITY = ActivationFunction("identity", np.positive, _identity_derivative_from_value)
-
-
 def _per_sample_mse(residual: np.ndarray) -> np.ndarray:
     # Sum over count is exactly np.mean's arithmetic, without its wrapper;
     # np.add.reduce is what ndarray.sum calls, without its Python frame.
@@ -235,17 +194,6 @@ def _per_sample_mse(residual: np.ndarray) -> np.ndarray:
 def _mse_slope(residual: np.ndarray) -> np.ndarray:
     """Partial of the per-sample mean square by each output, from ``residual = f - y``."""
     return 2.0 * residual / residual.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class ActivationRecord:
-    """Pre-activations of every layer for one input; outputs are the last layer."""
-
-    pre_activations: tuple[np.ndarray, ...]
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.pre_activations[-1]
 
 
 class Workspace:
@@ -271,7 +219,6 @@ class Workspace:
 def _forward(
     layers: list[tuple[np.ndarray, np.ndarray]],
     inputs: np.ndarray,
-    activation: ActivationFunction,
     work: Workspace | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The forward loop: per layer, the signal entering it and its pre-activations.
@@ -295,36 +242,20 @@ def _forward(
         a += b
         pre.append(a)
         if layer < depth:
-            z = activation.value(a, act_out[layer - 1])
+            z = np.tanh(a, act_out[layer - 1])
     return signals, pre
 
 
 def forward_batch(
     theta: ParamVector,
     inputs: np.ndarray,
-    activation: ActivationFunction = TANH,
 ) -> list[np.ndarray]:
     """Pre-activations per layer for a batch of inputs, shapes ``(P, H_layer)``.
 
     The output layer is linear, so the last entry is the batch of network
     outputs.
     """
-    return _forward(theta.layer_arrays(), inputs, activation)[1]
-
-
-def forward(
-    theta: ParamVector,
-    x: np.ndarray,
-    activation: ActivationFunction = TANH,
-) -> ActivationRecord:
-    """Evaluate the network on one input vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != theta.topology.n_inputs:
-        raise ValueError(
-            f"input has {x.size} entries, topology expects {theta.topology.n_inputs}"
-        )
-    pre = forward_batch(theta, x[None, :], activation)
-    return ActivationRecord(tuple(a[0] for a in pre))
+    return _forward(theta.layer_arrays(), inputs)[1]
 
 
 def _mean_risk(residual: np.ndarray) -> float:
@@ -354,9 +285,8 @@ def _checked_data(topology: Topology, data) -> tuple[np.ndarray, np.ndarray]:
 def empirical_risk(
     theta: ParamVector,
     data,
-    activation: ActivationFunction = TANH,
 ) -> float:
     """Mean-squared error of the network over a dataset (needs ``.inputs``/``.targets``)."""
     inputs, targets = _checked_data(theta.topology, data)
-    outputs = forward_batch(theta, inputs, activation)[-1]
+    outputs = forward_batch(theta, inputs)[-1]
     return _mean_risk(outputs - targets)

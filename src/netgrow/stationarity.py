@@ -30,7 +30,7 @@ from .growth import (
     growth_label,
     random_growth,
 )
-from .net_core import TANH, ActivationFunction, ParamVector, Topology, param_count
+from .net_core import ParamVector, Topology, param_count
 from .optimizer import LbfgsConfig, lbfgs_minimize
 
 __all__ = [
@@ -114,7 +114,6 @@ def find_stationary_point(
     topology: Topology,
     data,
     *,
-    activation: ActivationFunction = TANH,
     tol: float = 1e-8,
     max_iter: int = 2000,
     seed: int = 0,
@@ -131,7 +130,7 @@ def find_stationary_point(
     rng = np.random.default_rng(seed)
     start = rng.uniform(0.0, 1.0, param_count(topology))
     result = lbfgs_minimize(
-        risk_objective(topology, data, activation),
+        risk_objective(topology, data),
         start,
         LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter),
         stop_hook=lambda _k, x, _f, _g: float(np.abs(x).max()) > DIVERGENCE_BOUND,

@@ -72,14 +72,12 @@ def test_gradient_hand_derived_two_parameter_chain():
 
 
 def test_finite_diff_on_quadratic_coordinate():
-    # a linear net with identity activation makes the risk quadratic in each
-    # weight, so the central difference is exact up to O(step^2)
-    from netgrow import IDENTITY
-
+    # a net with no hidden layer is linear, so the risk is quadratic in each
+    # weight and the central difference is exact up to O(step^2)
     t = build_topology([1, 1])
     theta = ParamVector(t, np.array([0.0, 1.0]))
     d = Dataset(np.array([[1.0]]), np.array([[2.0]]))
-    grad = gradient_finite_diff(theta, d, activation=IDENTITY, step=1e-5)
+    grad = gradient_finite_diff(theta, d, step=1e-5)
     # risk = (w - 2)^2, derivative at w=1 is -2
     assert grad.flat[1] == pytest.approx(-2.0, abs=1e-9)
 

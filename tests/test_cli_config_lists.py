@@ -107,8 +107,14 @@ def test_bench_usage_errors_leave_no_output_directory(tmp_path, capsys, case):
     (["--maxit", "-1"], "maxit_per_stage"),
     (["--tol", "0"], "final_grad_tol"),
     (["--tol", "nan"], "final_grad_tol"),
-], ids=["zero-hidden", "negative-maxit", "zero-tol", "nan-tol"])
+    (["--data", "synth:sinusoid:noise=-0.1,P=5"], "noise must be a finite number >= 0, got -0.1"),
+    (["--data", "synth:sinusoid:m=0"], "m must be >= 1, got 0"),
+    (["--data", "synth:sinusoid:n=-1"], "n must be >= 1, got -1"),
+    (["--data", "synth:sinusoid:n=0"], "n must be >= 1, got 0"),
+], ids=["zero-hidden", "negative-maxit", "zero-tol", "nan-tol", "synth-negative-noise",
+        "synth-zero-m", "synth-negative-n", "synth-zero-n"])
 def test_train_usage_errors_leave_no_output_directory(tmp_path, capsys, flags, expected):
+    # Later flags win, so a case's own --data replaces SYNTH_A.
     assert main(["train", "--data", SYNTH_A, *flags, "--out", str(tmp_path / "o")]) == 2
     assert expected in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

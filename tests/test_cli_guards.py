@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netgrow import ParamVector, build_topology, param_count
+from netgrow import GrowthEscapeError, ParamVector, build_topology, cli, param_count
 from netgrow.cli import UsageError, _check_jobs, main
 from netgrow.model_io import load_model, save_model
 from netgrow.stationarity import RISK_GAP_RTOL
@@ -94,3 +94,15 @@ def test_ita_nan_final_tol_exits_2_before_creating_out(tmp_path, capsys):
     assert code == 2
     assert "final_grad_tol must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ita_growth_escape_exits_1_and_leaves_no_out(tmp_path, capsys, monkeypatch):
+    def escape(data, cfg):
+        raise GrowthEscapeError("no growth draw escaped")
+
+    monkeypatch.setattr(cli, "ita_train", escape)
+    out = tmp_path / "o"
+    assert main(["ita", "--data", SYNTH, "--h0", "2", "--hmax", "4", "--out", str(out)]) == 1
+    assert "GrowthEscapeError: no growth draw escaped" in capsys.readouterr().err
+    assert not out.exists()
+

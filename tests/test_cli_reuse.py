@@ -1,5 +1,6 @@
 """In-process ``main`` calls share one parser: built once, never changed by
-``--config``, and the ``cmd_*`` function that runs is looked up on each call."""
+``--config``, and the ``cmd_*`` function that runs is looked up on each call.
+``--config`` is found by argparse itself, in either spelling, and never by prefix."""
 
 import json
 
@@ -8,6 +9,9 @@ import pytest
 
 from netgrow import cli
 from netgrow.bench import ResultsTable, save_results_tsv
+from netgrow.model_io import load_model
+
+SYNTH = "synth:sinusoid:n=1,m=1,P=16"
 
 
 @pytest.fixture
@@ -84,3 +88,25 @@ def test_a_replaced_command_function_is_the_one_that_runs(tmp_path, monkeypatch,
     assert cli.main(["profile", "--table", tables[1], "--out", str(tmp_path / "q")]) == 7
     assert [(args.command, args.table) for args in seen] == [("profile", [tables[1]])]
     assert not (tmp_path / "q").exists()
+
+
+def test_config_with_an_equals_sign_is_applied(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"hidden": 3, "maxit": 2}))
+    joined, spaced = tmp_path / "joined", tmp_path / "spaced"
+    assert cli.main([f"--config={config}", "train", "--data", SYNTH, "--out", str(joined)]) == 0
+    assert cli.main(["--config", str(config), "train", "--data", SYNTH, "--out", str(spaced)]) == 0
+    assert _config(joined)["hidden"] == 3 and _config(joined)["maxit"] == 2
+    assert load_model(joined / "model.bin").topology.layer_sizes == (1, 3, 1)
+    # Both spellings echo the same configuration.
+    assert {**_config(joined), "out": None} == {**_config(spaced), "out": None}
+
+
+def test_abbreviated_config_flag_exits_2_and_creates_no_out(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"hidden": 3, "maxit": 2}))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--conf", str(config), "train", "--data", SYNTH, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()

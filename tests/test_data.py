@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,22 @@ def test_synthetic_rejects_bad_kind_and_size():
         make_synthetic("mystery", n=1, m=1, samples=5)
     with pytest.raises(ValueError):
         make_synthetic("sinusoid", n=1, m=1, samples=0)
+
+
+@pytest.mark.parametrize("arguments, expected", [
+    ({"samples": 0}, "samples must be >= 1, got 0"),
+    ({"n": 0}, "n must be >= 1, got 0"),
+    ({"n": -1}, "n must be >= 1, got -1"),
+    ({"m": 0}, "m must be >= 1, got 0"),
+    ({"noise": -0.1}, "noise must be a finite number >= 0, got -0.1"),
+    ({"noise": float("nan")}, "noise must be a finite number >= 0, got nan"),
+    ({"noise": float("inf")}, "noise must be a finite number >= 0, got inf"),
+], ids=["zero-samples", "zero-n", "negative-n", "zero-m", "negative-noise", "nan-noise",
+        "inf-noise"])
+def test_synthetic_checks_its_arguments_naming_the_bad_value(arguments, expected):
+    for kind in ("teacher_net", "polynomial", "sinusoid"):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            make_synthetic(kind, **{"n": 1, "m": 1, "samples": 5, **arguments})
 
 
 def test_load_semicolon_delimiter_and_last_two(tmp_path):

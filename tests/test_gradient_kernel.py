@@ -1,5 +1,5 @@
 """The matrix-product backward sweep: agreement with the broadcast-einsum sweep it
-replaced, memory per call, slopes taken from activation values, saturated units,
+replaced, memory per call, slopes taken from tanh values, saturated units,
 and a wide deep net against the central-difference oracle."""
 
 import tracemalloc
@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from netgrow import (
-    IDENTITY,
-    TANH,
     ParamVector,
     build_topology,
     empirical_risk,
@@ -18,7 +16,7 @@ from netgrow import (
     risk_and_gradient,
 )
 from netgrow.data import Dataset
-from netgrow.net_core import forward_batch
+from netgrow.net_core import Workspace, forward_batch
 
 
 def random_case(sizes, samples, seed, scale=0.3):
@@ -32,21 +30,21 @@ def random_case(sizes, samples, seed, scale=0.3):
     return theta, d
 
 
-def slope_from_pre_activation(activation, t):
-    """The activation's slope at ``t``, from ``t``: 1/cosh^2 for tanh, ones for identity."""
-    return np.ones_like(t) if activation is IDENTITY else 1.0 / np.cosh(t) ** 2
+def slope_from_pre_activation(t):
+    """tanh's slope at ``t``, from ``t``: 1/cosh^2."""
+    return 1.0 / np.cosh(t) ** 2
 
 
-def einsum_reference(theta, d, activation):
+def einsum_reference(theta, d):
     """The broadcast-einsum sweep the matrix-product sweep replaced, slope from t."""
     layers = theta.layer_arrays()
-    pre = forward_batch(theta, d.inputs, activation)
-    signals = [d.inputs] + [activation.value(a) for a in pre[:-1]]
+    pre = forward_batch(theta, d.inputs)
+    signals = [d.inputs] + [np.tanh(a) for a in pre[:-1]]
     u = 2.0 * (pre[-1] - d.targets) / d.targets.shape[1]
     grads = []
     for layer in range(len(layers), 0, -1):
         if layer < len(layers):
-            slope = slope_from_pre_activation(activation, pre[layer - 1])
+            slope = slope_from_pre_activation(pre[layer - 1])
             u = np.einsum("pr,prj->pj", u, layers[layer][1][None, :, :] * slope[:, None, :])
         grads.append((u.sum(axis=0) / len(u), np.einsum("pj,pi->ji", u, signals[layer - 1]) / len(u)))
     return ParamVector.from_layer_arrays(theta.topology, grads[::-1]).flat
@@ -59,11 +57,10 @@ def test_matches_einsum_reference_on_600_random_nets():
         sizes = [int(rng.integers(1, 6))]
         sizes += [int(rng.integers(1, 30)) for _ in range(1 + seed % 4)]
         sizes += [int(rng.integers(1, 5))]
-        activation = IDENTITY if seed % 3 == 0 else TANH
         theta, d = random_case(sizes, int(rng.integers(1, 60)), seed, scale=rng.choice([0.3, 1.0, 3.0]))
-        risk, grad = risk_and_gradient(theta, d, activation)
-        assert risk == empirical_risk(theta, d, activation)
-        reference = einsum_reference(theta, d, activation)
+        risk, grad = risk_and_gradient(theta, d)
+        assert risk == empirical_risk(theta, d)
+        reference = einsum_reference(theta, d)
         scale = max(np.max(np.abs(reference)), np.finfo(float).tiny)
         worst = max(worst, np.max(np.abs(grad - reference)) / scale)
     assert worst <= 1e-14, worst
@@ -83,17 +80,27 @@ def test_one_call_allocates_less_than_a_quarter_of_a_p_h_h_tensor():
     assert peak < samples * width * width * 8 / 4, peak
 
 
-@pytest.mark.parametrize("activation", [TANH, IDENTITY], ids=["tanh", "identity"])
-def test_derivative_from_value_matches_derivative(activation):
+def kernel_slope(t):
+    """The slope the backward sweep forms from tanh values, read back from its workspace.
+
+    A (1, 1, 1) net with unit weight and zero bias gets pre-activations ``t``.
+    """
+    theta = ParamVector(build_topology([1, 1, 1]), [0.0, 1.0, 0.0, 1.0])
+    inputs = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    work = Workspace(theta.topology, inputs.shape[0])
+    risk_and_gradient(theta, Dataset(inputs, np.zeros_like(inputs)), work=work)
+    return work.slope[0][:, 0]
+
+
+def test_slope_from_value_matches_sech_squared():
     grid = np.linspace(-25.0, 25.0, 20001)
-    from_value = activation.derivative_from_value(activation.value(grid))
+    from_value = kernel_slope(grid)
     assert from_value.shape == grid.shape
-    assert np.max(np.abs(from_value - slope_from_pre_activation(activation, grid))) <= 1e-15
+    assert np.max(np.abs(from_value - slope_from_pre_activation(grid))) <= 1e-15
 
 
 def test_saturated_units_have_zero_slope_and_finite_gradient():
-    a = np.array([-40.0, -20.0, 20.0, 35.0])
-    assert np.all(TANH.derivative_from_value(np.tanh(a)) == 0.0)
+    assert np.all(kernel_slope([-40.0, -20.0, 20.0, 35.0]) == 0.0)
 
     theta, d = random_case([2, 4, 1], 9, 1)
     (b1, w1), upper = [(b.copy(), w.copy()) for b, w in theta.layer_arrays()]

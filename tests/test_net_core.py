@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from netgrow import (
-    IDENTITY,
-    TANH,
     ParamVector,
     build_topology,
     empirical_risk,
-    forward,
     forward_batch,
     param_count,
+    risk_and_gradient,
 )
 from netgrow.data import Dataset
+from netgrow.net_core import Workspace
 
 
 def random_params(topology, seed=0, scale=1.0):
@@ -83,10 +82,8 @@ def test_param_vector_is_frozen():
 def test_forward_zero_params_gives_zero():
     t = build_topology([3, 4, 2])
     theta = ParamVector.zeros(t)
-    record = forward(theta, [0.5, -1.0, 2.0])
-    for a in record.pre_activations:
+    for a in forward_batch(theta, np.array([[0.5, -1.0, 2.0]])):
         assert np.all(a == 0.0)
-    assert np.all(record.output == 0.0)
 
 
 def test_forward_single_path_chain():
@@ -94,11 +91,11 @@ def test_forward_single_path_chain():
     theta = ParamVector.from_layer_arrays(
         t, [(np.zeros(1), np.ones((1, 1))), (np.zeros(1), np.ones((1, 1)))]
     )
-    record = forward(theta, [0.5])
-    assert record.output[0] == pytest.approx(np.tanh(0.5), abs=1e-15)
+    output = forward_batch(theta, np.array([[0.5]]))[-1][0]
+    assert output[0] == pytest.approx(np.tanh(0.5), abs=1e-15)
 
 
-def straight_line_forward(theta, x, activation=TANH):
+def straight_line_forward(theta, x):
     """Independent scalar re-implementation used as an oracle."""
     t = theta.topology
     signal = list(x)
@@ -111,7 +108,7 @@ def straight_line_forward(theta, x, activation=TANH):
                 total += theta.get_weight(layer, j, i) * signal[i]
             pre.append(total)
         outputs = pre
-        signal = [float(activation.value(np.array(v))) for v in pre]
+        signal = [float(np.tanh(v)) for v in pre]
     return np.array(outputs)
 
 
@@ -122,13 +119,14 @@ def test_forward_matches_straight_line_oracle():
     for _ in range(10):
         x = rng.uniform(-2, 2, 2)
         expected = straight_line_forward(theta, x)
-        assert np.max(np.abs(forward(theta, x).output - expected)) <= 1e-12
+        output = forward_batch(theta, x[None, :])[-1][0]
+        assert np.max(np.abs(output - expected)) <= 1e-12
 
 
 def test_forward_rejects_bad_input_dim():
     theta = ParamVector.zeros(build_topology([2, 2, 1]))
-    with pytest.raises(ValueError):
-        forward(theta, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"inputs must have shape \(P, 2\)"):
+        forward_batch(theta, np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_empirical_risk_perfect_fit_is_zero():
@@ -200,17 +198,21 @@ def test_output_affine_in_last_layer_params():
     ]
     theta_mid = ParamVector.from_layer_arrays(t, mid_arrays)
     x = rng.uniform(-1, 1, 2)
-    f_a = forward(theta_a, x).output
-    f_b = forward(theta_b, x).output
-    f_mid = forward(theta_mid, x).output
+    f_a = forward_batch(theta_a, x[None, :])[-1][0]
+    f_b = forward_batch(theta_b, x[None, :])[-1][0]
+    f_mid = forward_batch(theta_mid, x[None, :])[-1][0]
     assert np.max(np.abs(f_mid - 0.5 * (f_a + f_b))) <= 1e-12
 
 
 def test_activation_derivatives_match_finite_differences():
+    # the backward sweep's slope, read back from its workspace on a (1, 1, 1)
+    # net whose pre-activations are the grid
     grid = np.linspace(-3.0, 3.0, 41)
     h = 1e-6
-    for act in (TANH, IDENTITY):
-        numeric = (act.value(grid + h) - act.value(grid - h)) / (2 * h)
-        exact = act.derivative_from_value(act.value(grid))
-        rel = np.max(np.abs(numeric - exact) / (1.0 + np.abs(exact)))
-        assert rel <= 1e-6
+    theta = ParamVector(build_topology([1, 1, 1]), [0.0, 1.0, 0.0, 1.0])
+    work = Workspace(theta.topology, grid.size)
+    risk_and_gradient(theta, Dataset(grid[:, None], np.zeros((grid.size, 1))), work=work)
+    exact = work.slope[0][:, 0]
+    numeric = (np.tanh(grid + h) - np.tanh(grid - h)) / (2 * h)
+    rel = np.max(np.abs(numeric - exact) / (1.0 + np.abs(exact)))
+    assert rel <= 1e-6

@@ -1,6 +1,5 @@
-"""The model family is fixed: MSE risk, tanh hidden units, one L-BFGS setting and one
-stage-stop rule. Only the math layer takes an ``activation`` (tests pass ``IDENTITY``
-there as a linear-network oracle); nothing takes a ``loss``."""
+"""The model family is fixed: MSE risk, tanh hidden units, linear outputs, one L-BFGS
+setting and one stage-stop rule. Nothing takes a ``loss`` or an ``activation``."""
 
 import dataclasses
 import inspect
@@ -12,7 +11,6 @@ from netgrow import autodiff, bench, growth, incremental, net_core, stationarity
 from netgrow.cli import main
 
 MATH_LAYER = [
-    net_core.forward,
     net_core.forward_batch,
     net_core.empirical_risk,
     autodiff.risk_and_gradient,
@@ -38,10 +36,10 @@ ABOVE_THE_GRADIENT = [
 
 
 @pytest.mark.parametrize("function", MATH_LAYER + ABOVE_THE_GRADIENT, ids=lambda f: f.__name__)
-def test_no_loss_parameter_and_activation_only_in_the_math_layer(function):
+def test_no_loss_or_activation_parameter(function):
     parameters = inspect.signature(function).parameters
     assert "loss" not in parameters
-    assert ("activation" in parameters) == (function in MATH_LAYER)
+    assert "activation" not in parameters
 
 
 def test_one_lbfgs_setting_and_one_stage_stop_rule():
@@ -70,6 +68,8 @@ def test_no_loss_table(module):
     assert not {"MSE", "LossFunction"} & set(getattr(module, "__all__", ()))
 
 
-def test_activation_carries_one_slope():
-    fields = [f.name for f in dataclasses.fields(net_core.ActivationFunction)]
-    assert fields == ["name", "value", "derivative_from_value"]
+@pytest.mark.parametrize("module", [netgrow, net_core], ids=["netgrow", "net_core"])
+def test_no_activation_table_or_single_sample_forward(module):
+    names = {"ActivationFunction", "TANH", "IDENTITY", "ActivationRecord", "forward"}
+    assert not {name for name in names if hasattr(module, name)}
+    assert not names & set(getattr(module, "__all__", ()))

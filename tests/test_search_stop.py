@@ -81,5 +81,5 @@ def test_evaluations_count_objective_calls():
 
 def test_search_signature_has_no_bound_parameter():
     assert list(inspect.signature(find_stationary_point).parameters) == [
-        "topology", "data", "activation", "tol", "max_iter", "seed",
+        "topology", "data", "tol", "max_iter", "seed",
     ]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from netgrow import (
-    IDENTITY,
     ConstantGrowth,
     GrowthPlan,
     GrowthStep,
@@ -51,12 +50,11 @@ def stationary_point(underfit_problem):
 
 
 def test_linear_interpolation_toy_reaches_exact_zero_gradient():
-    # one sample, identity activations: the risk is an exact quadratic
+    # one sample: the output bias alone can fit it, so the risk's minimum is
+    # an exact zero with a zero gradient
     data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
-    theta = find_stationary_point(
-        Topology((1, 1, 1)), data, activation=IDENTITY, tol=1e-12, max_iter=200, seed=1
-    )
-    grad = gradient_forward(theta, data, activation=IDENTITY)
+    theta = find_stationary_point(Topology((1, 1, 1)), data, tol=1e-12, max_iter=200, seed=1)
+    grad = gradient_forward(theta, data)
     assert grad_norm_inf(grad) <= 1e-12
 
 
