@@ -13,7 +13,6 @@ line per alpha).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -328,6 +327,8 @@ def run_benchmark(
                 keys.append((problem.name, ir, solver.solver_id))
 
     if jobs > 1:
+        # Imported here, so that a sequential run does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell_safe, cells))
     else:

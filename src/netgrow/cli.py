@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -34,9 +34,9 @@ from .bench import (
     save_results_tsv,
     save_stats_tsv,
 )
-from .data import Dataset, ParseError, load_delimited, make_synthetic, standardize
+from .data import Dataset, ParseError, dataset_from_spec
 from .growth import apply_growth, random_growth
-from .incremental import ItaConfig, StageRecord, ita_train, standard_train
+from .incremental import ItaConfig, ita_train, standard_train
 from .net_core import Topology
 
 __all__ = ["main"]
@@ -119,56 +119,12 @@ def _load_config_defaults(parser: argparse.ArgumentParser, path: str, command: s
     sub.set_defaults(**payload)
 
 
-_SYNTH_KEYS = ("n", "m", "P", "samples", "noise", "seed", "width", "name")
-
-
-def _parse_synth_spec(text: str) -> Dataset:
-    # synth:kind:key=value,key=value
-    parts = text.split(":", 2)
-    if len(parts) < 2:
-        raise UsageError(f"bad synthetic spec {text!r}")
-    kind = parts[1]
-    options = {}
-    if len(parts) == 3 and parts[2]:
-        for item in parts[2].split(","):
-            if "=" not in item:
-                raise UsageError(f"bad synthetic option {item!r} in {text!r}")
-            key, value = (part.strip() for part in item.split("=", 1))
-            if key not in _SYNTH_KEYS:
-                raise UsageError(f"unknown synthetic option {key!r} in {text!r} "
-                                 f"(valid: {', '.join(_SYNTH_KEYS)})")
-            options[key] = value
-    try:
-        return make_synthetic(
-            kind,
-            n=int(options.get("n", 1)),
-            m=int(options.get("m", 1)),
-            samples=int(options.get("P", options.get("samples", 100))),
-            noise=float(options.get("noise", 0.0)),
-            seed=int(options.get("seed", 0)),
-            teacher_width=int(options.get("width", 3)),
-            name=options.get("name"),
-        )
-    except ValueError as exc:
-        raise UsageError(f"synthetic spec {text!r}: {exc}") from None
-
-
 def _resolve_dataset(args, spec: str | None = None) -> Dataset:
     text = spec if spec is not None else args.data
     if text is None:
         raise UsageError("no dataset given (use --data)")
-    if text.startswith("synth:"):
-        dataset = _parse_synth_spec(text)
-    else:
-        dataset = load_delimited(
-            text,
-            has_header=args.has_header,
-            target_columns=args.target_cols,
-            delimiter=args.delimiter,
-        )
-    if not args.no_standardize and dataset.n_samples >= 2:
-        dataset = standardize(dataset)
-    return dataset
+    return dataset_from_spec(text, has_header=args.has_header, target_columns=args.target_cols,
+                             delimiter=args.delimiter, standardize=not args.no_standardize)
 
 
 def _add_data_flags(sub: argparse.ArgumentParser) -> None:
@@ -200,9 +156,7 @@ def _save_run(out: Path, run) -> None:
         "solver": run.solver,
         "cumulative_epochs": run.cumulative_epochs,
         "final_risk": run.final_risk,
-        # Every stage field but the per-epoch histories, which metrics.jsonl holds.
-        "stages": [{f.name: getattr(stage, f.name) for f in fields(StageRecord)
-                    if f.name not in ("f_history", "g_history")} for stage in run.stages],
+        "stages": [stage.to_record() for stage in run.stages],
     })
 
 
@@ -356,6 +310,12 @@ def cmd_bench(args) -> int:
         for (problem, replica, solver), run in sorted(result.runs.items())
         for record in run.epoch_records()
     ))
+    _write_jsonl(out / "stages.jsonl", (
+        {"problem": problem, "replica": replica, "solver": solver, "stage": index,
+         **stage.to_record()}
+        for (problem, replica, solver), run in sorted(result.runs.items())
+        for index, stage in enumerate(run.stages)
+    ))
     save_stats_tsv(result, out / "stats.tsv")
 
     if result.failures:
@@ -495,6 +455,14 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    tokens = iter(argv)
+    for token in tokens:  # argparse would take an unknown flag's value here for the command
+        if not token.startswith("-"):
+            break
+        if token == "--config":
+            next(tokens, None)
+        elif token not in ("-h", "--help") and not token.startswith("--config="):
+            _shared_parser().error(f"unrecognized argument before the command: {token}")
     try:
         args = _shared_parser().parse_args(argv)
         if args.config is not None:

@@ -16,6 +16,7 @@ __all__ = [
     "save_delimited",
     "standardize",
     "make_synthetic",
+    "dataset_from_spec",
 ]
 
 
@@ -238,3 +239,56 @@ def make_synthetic(
 
     targets = clean + noise * rng.standard_normal((samples, m))
     return Dataset(inputs, targets, name=name or f"{kind}-{seed}", origin=origin)
+
+
+_SYNTH_KEYS = ("n", "m", "P", "samples", "noise", "seed", "width", "name")
+
+
+def _parse_synth_spec(text: str) -> Dataset:
+    # synth:kind:key=value,key=value
+    parts = text.split(":", 2)
+    kind = parts[1]
+    options = {}
+    if len(parts) == 3 and parts[2]:
+        for item in parts[2].split(","):
+            if "=" not in item:
+                raise ValueError(f"bad synthetic option {item!r} in {text!r}")
+            key, value = (part.strip() for part in item.split("=", 1))
+            if key not in _SYNTH_KEYS:
+                raise ValueError(f"unknown synthetic option {key!r} in {text!r} "
+                                 f"(valid: {', '.join(_SYNTH_KEYS)})")
+            if key in options:
+                raise ValueError(f"synthetic option {key!r} given twice in {text!r}")
+            if key in ("P", "samples") and ("P" in options or "samples" in options):
+                raise ValueError(f"synthetic options 'P' and 'samples' both given in {text!r}")
+            options[key] = value
+    try:
+        return make_synthetic(
+            kind,
+            n=int(options.get("n", 1)),
+            m=int(options.get("m", 1)),
+            samples=int(options.get("P", options.get("samples", 100))),
+            noise=float(options.get("noise", 0.0)),
+            seed=int(options.get("seed", 0)),
+            teacher_width=int(options.get("width", 3)),
+            name=options.get("name"),
+        )
+    except ValueError as exc:
+        raise ValueError(f"synthetic spec {text!r}: {exc}") from None
+
+
+_standardize = standardize  # hidden inside dataset_from_spec by its keyword of the same name
+
+
+def dataset_from_spec(spec: str, *, has_header: bool = False, target_columns="last-1",
+                      delimiter: str = ",", standardize: bool = True) -> Dataset:
+    """The dataset of a ``synth:kind:key=value,...`` spec, or of a file read by
+    :func:`load_delimited`; with ``standardize``, two or more samples are standardized."""
+    if spec.startswith("synth:"):
+        dataset = _parse_synth_spec(spec)
+    else:
+        dataset = load_delimited(spec, has_header=has_header, target_columns=target_columns,
+                                 delimiter=delimiter)
+    if standardize and dataset.n_samples >= 2:
+        dataset = _standardize(dataset)
+    return dataset

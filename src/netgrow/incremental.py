@@ -10,7 +10,7 @@ fixed-width baseline is the same loop started at the target width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -122,6 +122,11 @@ class StageRecord:
     @property
     def width(self) -> int:
         return self.widths[0]
+
+    def to_record(self) -> dict:
+        """Every field but the per-epoch histories, which ``TrainRun.epoch_records`` yields."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("f_history", "g_history")}
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -215,3 +218,13 @@ def test_failed_cells_are_recorded_not_fatal():
 def test_standard_solver_checks_itself(kwargs, message):
     with pytest.raises(ValueError, match=message):
         StandardSolver(**kwargs)
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    # Only bench --jobs N with N > 1 needs a process pool.
+    code = ("import sys, netgrow, netgrow.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing') "
+            "or m == 'concurrent.futures.process'))")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout.strip()
+    assert loaded == "[]"

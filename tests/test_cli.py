@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netgrow import ParamVector, build_topology, param_count
+from netgrow import ParamVector, build_topology, cli, param_count, run_benchmark
 from netgrow.cli import main
+from netgrow.incremental import RISK_CONTINUITY_RTOL
 from netgrow.model_io import load_model, load_model_text, save_model, save_model_text
 
 IRIS = str(Path(__file__).parent / "data" / "iris.csv")
@@ -186,6 +187,35 @@ def test_bench_and_profile_pipeline(tmp_path):
     plines = read_lines(prof / "profile_results_b20.tsv")
     assert plines[0] == "alpha\trho_standard\trho_ita"
     assert len(plines) == 4
+
+
+def test_bench_stage_records_add_up_to_each_run(tmp_path, monkeypatch):
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(run_benchmark(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_benchmark", recording)
+    out = tmp_path / "b"
+    assert main(["bench", "--problem", SYNTH, "--problem", IRIS, "--has-header",
+                 "--replicas", "2", "--budgets", "15,40", "--std-width", "6", "--h0", "2",
+                 "--hmax", "6", "--growth", "2", "--seed", "3", "--out", str(out)]) == 0
+    runs = results[0].runs
+    records = [json.loads(line) for line in read_lines(out / "stages.jsonl")]
+    keys = [(r["problem"], r["replica"], r["solver"], r["stage"]) for r in records]
+    assert keys == sorted(keys)
+    assert len(records) == sum(len(run.stages) for run in runs.values())
+    assert any(len(run.stages) > 1 for run in runs.values())
+    for cell, run in runs.items():
+        stages = [r for r in records if (r["problem"], r["replica"], r["solver"]) == cell]
+        assert [r["stage"] for r in stages] == list(range(len(run.stages)))
+        assert [r["widths"] for r in stages] == [list(s.widths) for s in run.stages]
+        assert sum(r["iterations"] for r in stages) == run.cumulative_epochs
+        for before, after in zip(stages, stages[1:]):
+            # Inert growth keeps the risk, up to the bound ita_train asserts.
+            assert after["start_risk"] == pytest.approx(
+                before["end_risk"], rel=RISK_CONTINUITY_RTOL, abs=RISK_CONTINUITY_RTOL)
 
 
 def test_bench_requires_two_solvers(tmp_path):

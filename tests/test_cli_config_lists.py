@@ -111,8 +111,12 @@ def test_bench_usage_errors_leave_no_output_directory(tmp_path, capsys, case):
     (["--data", "synth:sinusoid:m=0"], "m must be >= 1, got 0"),
     (["--data", "synth:sinusoid:n=-1"], "n must be >= 1, got -1"),
     (["--data", "synth:sinusoid:n=0"], "n must be >= 1, got 0"),
+    (["--data", "synth:sinusoid:n=1,n=3,m=1,P=16"], "synthetic option 'n' given twice"),
+    (["--data", "synth:sinusoid:n=1,m=1,P=16,samples=40"],
+     "synthetic options 'P' and 'samples' both given"),
 ], ids=["zero-hidden", "negative-maxit", "zero-tol", "nan-tol", "synth-negative-noise",
-        "synth-zero-m", "synth-negative-n", "synth-zero-n"])
+        "synth-zero-m", "synth-negative-n", "synth-zero-n", "synth-repeated-key",
+        "synth-P-and-samples"])
 def test_train_usage_errors_leave_no_output_directory(tmp_path, capsys, flags, expected):
     # Later flags win, so a case's own --data replaces SYNTH_A.
     assert main(["train", "--data", SYNTH_A, *flags, "--out", str(tmp_path / "o")]) == 2

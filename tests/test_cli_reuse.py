@@ -102,11 +102,24 @@ def test_config_with_an_equals_sign_is_applied(tmp_path):
     assert {**_config(joined), "out": None} == {**_config(spaced), "out": None}
 
 
-def test_abbreviated_config_flag_exits_2_and_creates_no_out(tmp_path):
+def test_abbreviated_config_flag_exits_2_and_creates_no_out(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"hidden": 3, "maxit": 2}))
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["--conf", str(config), "train", "--data", SYNTH, "--out", str(out)])
     assert exit_info.value.code == 2
+    # Named on its own, not as the prefix of --config in the usage line.
+    assert "unrecognized argument before the command: --conf\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--conf", "--conf=c.json", "-c", "--seed"])
+def test_unknown_flag_before_the_command_is_named(tmp_path, capsys, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([flag, "c.json", "train", "--data", SYNTH, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument before the command: {flag}" in err and "invalid choice" not in err
     assert not out.exists()

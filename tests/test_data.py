@@ -13,7 +13,7 @@ from netgrow import (
     save_delimited,
     standardize,
 )
-from netgrow.data import Dataset, ParseError
+from netgrow.data import Dataset, ParseError, dataset_from_spec
 
 IRIS = Path(__file__).parent / "data" / "iris.csv"
 
@@ -190,3 +190,64 @@ def test_load_negative_target_index(tmp_path):
     path.write_text("1,2,3\n4,5,6\n")
     d = load_delimited(path, target_columns=[-1])
     assert np.array_equal(d.targets, [[3.0], [6.0]])
+
+
+def _same_dataset(got, expected):
+    assert np.array_equal(got.inputs, expected.inputs)
+    assert np.array_equal(got.targets, expected.targets)
+    assert got.name == expected.name and got.origin == expected.origin
+    if expected.feature_stats is None:
+        assert got.feature_stats is None
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got.feature_stats, expected.feature_stats))
+
+
+def test_dataset_from_spec_builds_a_synthetic_spec_as_make_synthetic_and_standardize():
+    spec = "synth:teacher_net:n=2,m=3,P=30,noise=0.1,seed=4,width=5,name=t"
+    expected = make_synthetic("teacher_net", n=2, m=3, samples=30, noise=0.1, seed=4,
+                              teacher_width=5, name="t")
+    _same_dataset(dataset_from_spec(spec), standardize(expected))
+    _same_dataset(dataset_from_spec(spec, standardize=False), expected)
+    # Defaults: n = m = 1, 100 samples, no noise, seed 0; samples is P's other name.
+    _same_dataset(dataset_from_spec("synth:sinusoid", standardize=False),
+                  make_synthetic("sinusoid", n=1, m=1, samples=100))
+    _same_dataset(dataset_from_spec("synth:polynomial:samples=7"),
+                  standardize(make_synthetic("polynomial", n=1, m=1, samples=7)))
+
+
+def test_dataset_from_spec_reads_a_file_with_the_load_keywords(tmp_path):
+    semi = tmp_path / "iris_semi.csv"
+    semi.write_text(IRIS.read_text().replace(",", ";"))
+    keywords = {"has_header": True, "target_columns": "last-2", "delimiter": ";"}
+    expected = load_delimited(semi, **keywords)
+    assert expected.n_inputs == 3 and expected.n_targets == 4
+    _same_dataset(dataset_from_spec(str(semi), **keywords), standardize(expected))
+    _same_dataset(dataset_from_spec(str(semi), **keywords, standardize=False), expected)
+    _same_dataset(dataset_from_spec(str(IRIS), has_header=True, target_columns=[4]),
+                  standardize(load_delimited(IRIS, has_header=True)))
+
+
+def test_dataset_from_spec_leaves_a_single_sample_unstandardized(tmp_path):
+    one = tmp_path / "one.csv"
+    one.write_text("1.5,2.5,3.5\n")
+    _same_dataset(dataset_from_spec(str(one)), load_delimited(one))
+    _same_dataset(dataset_from_spec("synth:sinusoid:P=1"),
+                  make_synthetic("sinusoid", n=1, m=1, samples=1))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("synth:", "synthetic spec 'synth:': unknown synthetic kind ''"),
+    ("synth:sinusoid:n", "bad synthetic option 'n' in 'synth:sinusoid:n'"),
+    ("synth:sinusoid:k=2", "unknown synthetic option 'k' in 'synth:sinusoid:k=2' "
+                           "(valid: n, m, P, samples, noise, seed, width, name)"),
+    ("synth:sinusoid:P=0", "synthetic spec 'synth:sinusoid:P=0': samples must be >= 1, got 0"),
+    ("synth:sinusoid:n=x", "synthetic spec 'synth:sinusoid:n=x': invalid literal for int()"),
+    ("synth:sinusoid:seed=1,seed=1", "synthetic option 'seed' given twice in "
+                                     "'synth:sinusoid:seed=1,seed=1'"),
+    ("synth:sinusoid:samples=5,P=5", "synthetic options 'P' and 'samples' both given in "
+                                     "'synth:sinusoid:samples=5,P=5'"),
+], ids=["bad-kind", "bad-option", "unknown-option", "make-synthetic", "not-an-int",
+        "repeated-key", "P-and-samples"])
+def test_dataset_from_spec_errors_name_the_spec(spec, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataset_from_spec(spec)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from netgrow import (
     standard_train,
     standardize,
 )
-from netgrow.incremental import RISK_CONTINUITY_RTOL
+from netgrow.incremental import RISK_CONTINUITY_RTOL, StageRecord
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +198,12 @@ def test_ita_with_equal_start_and_max_width_is_single_stage(problem):
     run = ita_train(problem, ItaConfig(initial_width=12, max_width=12, seed=1, maxit_per_stage=20))
     assert len(run.stages) == 1
     assert run.stages[0].width == 12
+
+
+def test_stage_to_record_holds_every_field_but_the_histories(problem):
+    run = ita_train(problem, ItaConfig(initial_width=2, max_width=4, seed=1, maxit_per_stage=5))
+    names = {f.name for f in dataclasses.fields(StageRecord)} - {"f_history", "g_history"}
+    for stage in run.stages:
+        record = stage.to_record()
+        assert set(record) == names
+        assert record == {name: getattr(stage, name) for name in names}
