@@ -38,7 +38,6 @@ from .growth import (
     GrowthStep,
     InertGrowth,
     SplitGrowth,
-    added_param_count,
     apply_growth,
     apply_plan,
     grow_constant,

@@ -199,6 +199,9 @@ def cmd_embed(args) -> int:
     # Given shares fix the copy count; given shares and source replace the drawn ones.
     shares = np.array(_parse_list("--shares", args.shares, float)) if args.shares else None
     count = args.count if shares is None else shares.size - 1
+    if count < 1:
+        raise UsageError(f"--count must be >= 1, got {count}" if shares is None else
+                         f"--shares needs the source's share and one per copy, got {shares.size}")
     spec = random_growth(kind, theta.topology, args.layer, count, np.random.default_rng(args.seed))
     if shares is not None:
         spec = replace(spec, shares=shares)
@@ -229,6 +232,9 @@ def cmd_verify(args) -> int:
         raise UsageError("--data applies only with --model; random networks use fixed fixtures")
     if args.model and args.topologies is not None:
         raise UsageError("--topologies applies only to random networks; --model fixes the topology")
+    if not (kinds or args.transfer or args.expect_escape):
+        raise UsageError("no checks to run: --maps is empty and neither --transfer "
+                         "nor --expect-escape is given")
     if args.model:
         theta = model_io.load_model(args.model)
         data = _resolve_dataset(args) if args.data else None
@@ -346,10 +352,13 @@ def cmd_profile(args) -> int:
             raise UsageError(f"--table {stems[path.stem]} and --table {path} would both "
                              f"write profile_{path.stem}.tsv")
         stems[path.stem] = path
-    out = _out_dir(args)
+    profiles = []
     for path, table in tables:
         ratio = performance_ratio(table)
         curve = replace(performance_profile(ratio, alphas), solver_ids=table.solver_ids)
+        profiles.append((path, ratio, curve))
+    out = _out_dir(args)
+    for path, ratio, curve in profiles:
         target = out / f"profile_{path.stem}.tsv"
         save_profile_tsv(curve, target)
         if ratio.clamped_rows:

@@ -20,7 +20,7 @@ regions. Plans compose several maps across distinct layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "apply_growth",
     "apply_plan",
     "random_growth",
-    "added_param_count",
     "growth_label",
     "SHARE_SUM_TOL",
 ]
@@ -56,16 +55,6 @@ def _check_hidden_layer(topology: Topology, layer: int) -> None:
         raise ValueError(
             f"layer {layer} is not a hidden layer (valid: 1..{topology.depth - 1})"
         )
-
-
-def added_param_count(topology: Topology, layer: int, count: int) -> int:
-    """Parameters gained by adding ``count`` neurons at ``layer``."""
-    _check_hidden_layer(topology, layer)
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    below = topology.size(layer - 1)
-    above = topology.size(layer + 1)
-    return count * (below + 1) + count * above
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,34 +280,15 @@ class GrowthPlan:
             raise ValueError(f"plan layers must be distinct, got {layers}")
 
 
-def apply_plan(
-    theta: ParamVector,
-    plan: GrowthPlan,
-    *,
-    rng: np.random.Generator | None = None,
-    params: Sequence[GrowthSpec] | None = None,
-) -> ParamVector:
-    """Apply every step of ``plan``; parameters drawn from ``rng`` or given.
+def apply_plan(theta: ParamVector, plan: GrowthPlan, *, rng: np.random.Generator) -> ParamVector:
+    """Apply every step of ``plan`` with parameters drawn by ``random_growth`` from ``rng``.
 
-    When ``params`` is provided it must match the plan step for step (same
-    kind, layer and count). Any step failure is reported with its index.
+    Any step failure is reported with its index.
     """
-    if params is not None and len(params) != len(plan.steps):
-        raise ValueError(f"plan has {len(plan.steps)} steps, got {len(params)} params")
-    if params is None and rng is None and plan.steps:
-        raise ValueError("need either rng or explicit params to apply a plan")
     current = theta
     for index, step in enumerate(plan.steps):
         try:
-            if params is not None:
-                spec = params[index]
-                if (spec.kind, spec.layer, spec.count) != (step.kind, step.layer, step.count):
-                    raise ValueError(
-                        f"params[{index}] is {spec.kind}@{spec.layer}x{spec.count}, "
-                        f"step wants {step.kind}@{step.layer}x{step.count}"
-                    )
-            else:
-                spec = random_growth(step.kind, current.topology, step.layer, step.count, rng)
+            spec = random_growth(step.kind, current.topology, step.layer, step.count, rng)
             current = apply_growth(current, spec)
         except ValueError as exc:
             raise ValueError(f"plan step {index} ({step.kind} at layer {step.layer}): {exc}") from exc

@@ -164,25 +164,6 @@ class ParamVector:
         """Per layer ``(biases (H,), weights (H, H_prev))`` views of the flat vector."""
         return [(block[:, 0], block[:, 1:]) for block in self.layer_blocks()]
 
-    def get_bias(self, layer: int, neuron: int) -> float:
-        """Bias of ``neuron`` (0-based) in ``layer`` (1-based, 1 = first hidden)."""
-        return float(self._block(layer, neuron)[neuron, 0])
-
-    def get_weight(self, layer: int, neuron: int, source: int) -> float:
-        """Weight into ``neuron`` of ``layer`` from ``source`` in the layer below."""
-        block = self._block(layer, neuron)
-        if not 0 <= source < block.shape[1] - 1:
-            raise ValueError(f"source {source} out of range for layer {layer - 1}")
-        return float(block[neuron, 1 + source])
-
-    def _block(self, layer: int, neuron: int) -> np.ndarray:
-        if not 1 <= layer <= self.topology.depth:
-            raise ValueError(f"layer {layer} out of range 1..{self.topology.depth}")
-        block = self.layer_blocks()[layer - 1]
-        if not 0 <= neuron < block.shape[0]:
-            raise ValueError(f"neuron {neuron} out of range for layer {layer}")
-        return block
-
 
 def _per_sample_mse(residual: np.ndarray) -> np.ndarray:
     # Sum over count is exactly np.mean's arithmetic, without its wrapper;

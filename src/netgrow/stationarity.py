@@ -222,40 +222,23 @@ def transfer_safe_spec(
 def verify_stationarity_transfer(
     theta: ParamVector,
     data,
-    growth: GrowthSpec | GrowthPlan | Sequence[GrowthSpec],
-    *,
-    rng: np.random.Generator | None = None,
-    allow_escape_maps: bool = False,
+    growth: GrowthSpec | Sequence[GrowthSpec],
 ) -> StationarityReport:
-    """Check that a stationarity-preserving map keeps the gradient tiny.
+    """Check that a stationarity-preserving map, or a chain of them, keeps the gradient tiny.
 
     Only splits, constant growths with zero outgoing weights, and chains of
-    those qualify; anything else (inert growth in particular) is rejected
-    unless ``allow_escape_maps`` is set for a deliberate negative test. A
-    :class:`GrowthPlan` gets stationarity-safe parameters drawn from ``rng``.
+    those over distinct layers qualify; anything else (inert growth in
+    particular) is rejected. A chain is applied spec by spec, in order.
     """
-    if isinstance(growth, GrowthPlan):
-        if rng is None:
-            raise ValueError("a plan needs an rng to draw its parameters")
-        plan, specs = growth, []
-        sizes = list(theta.topology.layer_sizes)
-        for step in plan.steps:
-            draw = random_growth if step.kind == "inert" and allow_escape_maps else transfer_safe_spec
-            specs.append(draw(step.kind, Topology(tuple(sizes)), step.layer, step.count, rng))
-            sizes[step.layer] += step.count
-    else:
-        specs = list(growth) if isinstance(growth, (list, tuple)) else [growth]
-        plan = GrowthPlan(tuple(GrowthStep(s.kind, s.layer, s.count) for s in specs))
-    if not allow_escape_maps:
-        bad = [growth_label(s) for s in specs if not _transfer_safe(s)]
-        if bad:
-            raise ValueError(
-                f"maps {bad} do not preserve stationarity; use splits or "
-                "constant growth with zero outgoing weights (or set "
-                "allow_escape_maps for a negative test)"
-            )
-
-    grown = apply_plan(theta, plan, params=specs)
+    specs = list(growth) if isinstance(growth, (list, tuple)) else [growth]
+    plan = GrowthPlan(tuple(GrowthStep(s.kind, s.layer, s.count) for s in specs))
+    bad = [growth_label(s) for s in specs if not _transfer_safe(s)]
+    if bad:
+        raise ValueError(f"maps {bad} do not preserve stationarity; use splits or "
+                         "constant growth with zero outgoing weights")
+    grown = theta
+    for spec in specs:
+        grown = apply_growth(grown, spec)
     label = specs[0] if len(specs) == 1 else plan
     report = risk_gap_report(theta, grown, data, growth_label(label))
     bound = TRANSFER_SLACK * max(report.source_grad_norm, TRANSFER_FLOOR)

@@ -22,11 +22,15 @@ def test_verify_rejects_fewer_than_one_seed(tmp_path, seeds):
     assert main(["verify", "--seeds", seeds, "--out", str(tmp_path / "v")]) == 2
 
 
-@pytest.mark.parametrize("extra", [[], ["--negative-controls"]])
+@pytest.mark.parametrize("extra", [[], ["--negative-controls"], ["--model", "{m}"]])
 def test_verify_without_checks_fails(tmp_path, capsys, extra):
+    topology = build_topology([2, 2, 1])
+    save_model(ParamVector(topology, np.zeros(param_count(topology))), tmp_path / "m.bin")
+    extra = [arg.format(m=tmp_path / "m.bin") for arg in extra]
     code = main(["verify", "--maps", ",", *extra, "--out", str(tmp_path / "v")])
-    assert code == 1
-    assert "no checks ran" in capsys.readouterr().err
+    assert code == 2
+    assert "error: no checks to run" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 def test_negative_controls_report_the_risk_gap(tmp_path):

@@ -67,3 +67,18 @@ def test_profile_alphas_grid_end_below_one_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--alphas" in err and ">= 1" in err
     assert not Path(tmp_path / "p" / "profile_t.tsv").exists()
+
+
+@pytest.mark.parametrize("rows, alphas, message", [
+    ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n", "2.0,1.5", "alphas must be increasing"),
+    ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n", ",", "alphas must be increasing"),
+    ("p0\ta\t0\t10\tinf\np0\tb\t0\t10\tinf\n", "2.0", "all solvers failed"),
+], ids=["decreasing", "empty", "all-failed"])
+def test_profile_errors_leave_no_output_directory(tmp_path, capsys, rows, alphas, message):
+    table = tmp_path / "t.tsv"
+    table.write_text("problem\tsolver\treplica\tbudget\tfinal_risk\n" + rows)
+    code = main(["profile", "--table", str(table), "--alphas", alphas,
+                 "--out", str(tmp_path / "p")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()

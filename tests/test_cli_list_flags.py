@@ -35,7 +35,7 @@ def files(tmp_path):
     (["embed", "--model", "{d}/m.bin", "--out-model", "{d}/g.bin", "--map", "gamma",
       "--shares", "0.5,q"], ["--shares", "'q'"]),
     (["embed", "--model", "{d}/m.bin", "--out-model", "{d}/g.bin", "--count", "-2"],
-     ["count must be >= 0"]),
+     ["--count must be >= 1, got -2"]),
     (["train", "--data", IRIS, "--has-header", "--target-cols", "last-x", "--out", "{d}/o"],
      ["target column spec", "'last-x'"]),
     (["train", "--data", IRIS, "--has-header", "--delimiter", "", "--out", "{d}/o"],

@@ -48,18 +48,21 @@ def test_embed_split_honours_source_without_shares(tmp_path, model, seed):
     assert np.allclose(grown.layer_blocks()[1][:, [4, 5, 6]], column[:, None] / 3)
 
 
-@pytest.mark.parametrize("flags", [
-    ["--map", "split", "--source", "9"],
-    ["--map", "split", "--source", "9", "--shares", "0.5,0.5"],
-    ["--map", "inert", "--shares", "0.5,0.5"],
-    ["--map", "beta", "--source", "1"],
-    ["--map", "delta"],
+@pytest.mark.parametrize("flags, expected", [
+    (["--map", "split", "--source", "9"], "error:"),
+    (["--map", "split", "--source", "9", "--shares", "0.5,0.5"], "error:"),
+    (["--map", "inert", "--shares", "0.5,0.5"], "error:"),
+    (["--map", "beta", "--source", "1"], "error:"),
+    (["--map", "delta"], "error:"),
+    (["--count", "0"], "error: --count must be >= 1, got 0"),
+    (["--map", "split", "--shares", "1"], "error: --shares needs the source's share and one"),
+    (["--map", "split", "--shares", ","], "error: --shares needs the source's share and one"),
 ], ids=["source-out-of-range", "source-out-of-range-with-shares", "shares-on-inert",
-        "source-on-constant", "unknown-map"])
-def test_embed_rejects_bad_overrides(tmp_path, model, capsys, flags):
+        "source-on-constant", "unknown-map", "zero-count", "one-share", "no-shares"])
+def test_embed_rejects_bad_overrides(tmp_path, model, capsys, flags, expected):
     _, path = model
     assert embed(path, tmp_path / "g.bin", *flags) == 2
-    assert "error:" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
     assert not (tmp_path / "g.bin").exists()
 
 

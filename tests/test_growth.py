@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from netgrow import (
-    ConstantGrowth,
     GrowthPlan,
     GrowthStep,
-    InertGrowth,
     ParamVector,
     SplitGrowth,
-    added_param_count,
     apply_growth,
     apply_plan,
     build_topology,
@@ -45,7 +42,7 @@ def test_inert_parameter_growth_matches_formula():
     theta, _ = make_case([2, 2, 1])
     grown = grow_inert(theta, 1, np.array([0.5]), np.array([[0.1, 0.2]]))
     assert grown.topology.layer_sizes == (2, 3, 1)
-    assert len(grown) - len(theta) == added_param_count(theta.topology, 1, 1) == 4
+    assert len(grown) - len(theta) == 1 * (2 + 1) + 1 * 1 == 4
 
 
 @pytest.mark.parametrize(
@@ -53,8 +50,11 @@ def test_inert_parameter_growth_matches_formula():
 )
 def test_added_param_count_examples(sizes, layer, count):
     t = build_topology(sizes)
+    theta = ParamVector.zeros(t)
     below, above = sizes[layer - 1], sizes[layer + 1]
-    assert added_param_count(t, layer, count) == count * (below + 1) + count * above
+    for kind in ("inert", "constant", "split"):
+        grown = apply_growth(theta, random_growth(kind, t, layer, count, np.random.default_rng(0)))
+        assert len(grown) - len(theta) == count * (below + 1) + count * above
 
 
 def test_added_param_count_consistent_for_all_maps():
@@ -68,7 +68,8 @@ def test_added_param_count_consistent_for_all_maps():
         count = int(rng.integers(1, 4))
         for kind in ("inert", "constant", "split"):
             grown = apply_growth(theta, random_growth(kind, t, layer, count, rng))
-            assert len(grown) - len(theta) == added_param_count(t, layer, count)
+            below, above = sizes[layer - 1], sizes[layer + 1]
+            assert len(grown) - len(theta) == count * (below + 1) + count * above
             assert param_count(grown.topology) == len(grown)
 
 
@@ -193,7 +194,7 @@ def test_corrupted_inert_growth_changes_risk():
 
 def test_empty_plan_is_identity():
     theta, _ = make_case([2, 2, 1])
-    assert apply_plan(theta, GrowthPlan(())) is theta
+    assert apply_plan(theta, GrowthPlan(()), rng=np.random.default_rng(0)) is theta
 
 
 def test_two_step_inert_plan_preserves_risk():
@@ -222,21 +223,11 @@ def test_plan_rejects_duplicate_layers():
 
 def test_plan_errors_carry_step_index():
     theta, _ = make_case([2, 2, 1])
-    plan = GrowthPlan((GrowthStep("inert", 1, 1),))
-    bad_params = [ConstantGrowth(1, np.zeros(1), np.zeros((1, 1)))]
-    with pytest.raises(ValueError, match="step 0"):
-        apply_plan(theta, plan, params=bad_params)
+    # layer 3 is not a hidden layer of a (2,2,1) net, so the second drawn step fails
+    plan = GrowthPlan((GrowthStep("split", 1, 1), GrowthStep("inert", 3, 1)))
+    with pytest.raises(ValueError, match=r"plan step 1 \(inert at layer 3\): layer 3 is not"):
+        apply_plan(theta, plan, rng=np.random.default_rng(0))
 
-
-def test_plan_with_explicit_params():
-    theta, data = make_case([2, 2, 1], seed=23)
-    spec = InertGrowth(1, np.array([0.1]), np.array([[0.2, 0.3]]))
-    plan = GrowthPlan((GrowthStep("inert", 1, 1),))
-    grown = apply_plan(theta, plan, params=[spec])
-    manual = apply_growth(theta, spec)
-    assert np.array_equal(grown.flat, manual.flat)
-    r0 = empirical_risk(theta, data)
-    assert abs(empirical_risk(grown, data) - r0) <= 1e-12 * (1 + abs(r0))
 
 
 def test_split_spec_of_zero_copies_is_identity():

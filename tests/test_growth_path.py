@@ -1,4 +1,4 @@
-"""One growth path: the maps share one block surgery, and chains go through ``apply_plan``."""
+"""One growth path: the maps share one block surgery, and chains apply them spec by spec."""
 
 import inspect
 
@@ -8,8 +8,6 @@ import pytest
 from netgrow import (
     ConstantGrowth,
     Dataset,
-    GrowthPlan,
-    GrowthStep,
     ItaConfig,
     ParamVector,
     SplitGrowth,
@@ -57,20 +55,18 @@ def test_maps_append_rows_below_and_columns_above(net, kind):
     assert np.array_equal(new[2], old[2])  # blocks further up untouched
 
 
-def test_transfer_plan_draws_inert_steps_from_random_growth(net):
+def test_transfer_chain_is_the_chained_apply_growth(net):
     theta, data = net
-    plan = GrowthPlan((GrowthStep("inert", 1, 2), GrowthStep("split", 2, 1)))
-    report = verify_stationarity_transfer(
-        theta, data, plan, rng=np.random.default_rng(7), allow_escape_maps=True
-    )
     rng = np.random.default_rng(7)
-    inert = random_growth("inert", theta.topology, 1, 2, rng)
+    constant = transfer_safe_spec("constant", theta.topology, 1, 2, rng)
     split = transfer_safe_spec("split", Topology((2, 5, 3, 1)), 2, 1, rng)
-    _, grad = risk_and_gradient(apply_growth(apply_growth(theta, inert), split), data)
-    assert report.map_label == "plan[inert@1x2,split@2x1]"
+    report = verify_stationarity_transfer(theta, data, [constant, split])
+    _, grad = risk_and_gradient(apply_growth(apply_growth(theta, constant), split), data)
+    assert report.map_label == "plan[constant@1x2,split@2x1]"
     assert report.embedded_grad_norm == float(np.max(np.abs(grad)))
+    inert = random_growth("inert", theta.topology, 1, 2, rng)
     with pytest.raises(ValueError, match="preserve stationarity"):
-        verify_stationarity_transfer(theta, data, plan, rng=np.random.default_rng(7))
+        verify_stationarity_transfer(theta, data, [inert, split])
 
 
 def test_transfer_chain_rejects_a_repeated_layer(net):

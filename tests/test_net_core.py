@@ -57,22 +57,6 @@ def test_layout_roundtrip_random_topologies():
         assert np.array_equal(again.flat, theta.flat)
 
 
-def test_structured_accessors_match_flat_layout():
-    t = build_topology([2, 2, 1])
-    theta = ParamVector(t, np.arange(9.0))
-    # layer 1: [b0, w00, w01, b1, w10, w11], layer 2: [b0, w00, w01]
-    assert theta.get_bias(1, 0) == 0.0
-    assert theta.get_weight(1, 0, 1) == 2.0
-    assert theta.get_bias(1, 1) == 3.0
-    assert theta.get_weight(1, 1, 0) == 4.0
-    assert theta.get_bias(2, 0) == 6.0
-    assert theta.get_weight(2, 0, 1) == 8.0
-    with pytest.raises(ValueError):
-        theta.get_bias(3, 0)
-    with pytest.raises(ValueError):
-        theta.get_weight(1, 2, 0)
-
-
 def test_param_vector_is_frozen():
     theta = ParamVector.zeros(build_topology([2, 2, 1]))
     with pytest.raises(ValueError):
@@ -96,31 +80,39 @@ def test_forward_single_path_chain():
 
 
 def straight_line_forward(theta, x):
-    """Independent scalar re-implementation used as an oracle."""
+    """Independent scalar re-implementation used as an oracle.
+
+    It reads ``theta.flat`` by the documented layout alone: layer by layer,
+    each neuron's bias and then its incoming weights.
+    """
     t = theta.topology
+    flat = theta.flat
     signal = list(x)
     outputs = None
+    offset = 0
     for layer in range(1, t.depth + 1):
         pre = []
-        for j in range(t.size(layer)):
-            total = theta.get_bias(layer, j)
+        for _ in range(t.size(layer)):
+            total = flat[offset]
             for i in range(t.size(layer - 1)):
-                total += theta.get_weight(layer, j, i) * signal[i]
+                total += flat[offset + 1 + i] * signal[i]
+            offset += 1 + t.size(layer - 1)
             pre.append(total)
         outputs = pre
         signal = [float(np.tanh(v)) for v in pre]
+    assert offset == flat.size
     return np.array(outputs)
 
 
 def test_forward_matches_straight_line_oracle():
-    t = build_topology([2, 2, 1])
-    theta = random_params(t, seed=11)
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        x = rng.uniform(-2, 2, 2)
-        expected = straight_line_forward(theta, x)
-        output = forward_batch(theta, x[None, :])[-1][0]
-        assert np.max(np.abs(output - expected)) <= 1e-12
+    for sizes in ([2, 2, 1], [3, 4, 2, 2]):
+        theta = random_params(build_topology(sizes), seed=11)
+        for _ in range(10):
+            x = rng.uniform(-2, 2, sizes[0])
+            expected = straight_line_forward(theta, x)
+            output = forward_batch(theta, x[None, :])[-1][0]
+            assert np.max(np.abs(output - expected)) <= 1e-12
 
 
 def test_forward_rejects_bad_input_dim():

@@ -73,3 +73,24 @@ def test_no_activation_table_or_single_sample_forward(module):
     names = {"ActivationFunction", "TANH", "IDENTITY", "ActivationRecord", "forward"}
     assert not {name for name in names if hasattr(module, name)}
     assert not names & set(getattr(module, "__all__", ()))
+
+
+def test_transfer_check_takes_only_a_network_data_and_growth():
+    assert list(inspect.signature(stationarity.verify_stationarity_transfer).parameters) == [
+        "theta", "data", "growth"]
+
+
+def test_apply_plan_draws_from_a_required_rng():
+    parameters = inspect.signature(growth.apply_plan).parameters
+    assert "params" not in parameters
+    assert parameters["rng"].default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("owner, names", [
+    (net_core.ParamVector, ("get_bias", "get_weight", "_block")),
+    (growth, ("added_param_count",)),
+    (netgrow, ("get_bias", "get_weight", "added_param_count")),
+], ids=["ParamVector", "growth", "netgrow"])
+def test_no_test_only_accessors(owner, names):
+    assert not {name for name in names if hasattr(owner, name)}
+    assert not set(names) & set(getattr(owner, "__all__", ()))

@@ -12,6 +12,7 @@ from netgrow import (
     ParamVector,
     SplitGrowth,
     Topology,
+    apply_growth,
     build_topology,
     count_manifold_families,
     escape_rate,
@@ -26,6 +27,7 @@ from netgrow import (
     verify_stationarity_transfer,
 )
 from netgrow.data import Dataset
+from netgrow.stationarity import TRANSFER_FLOOR, TRANSFER_SLACK
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +101,6 @@ def test_loss_invariance_fails_for_corrupted_growth():
     theta = ParamVector(t, rng.standard_normal(param_count(t)))
     data = Dataset(rng.uniform(-2, 2, (12, 2)), rng.uniform(-1, 1, (12, 1)))
     grown = InertGrowth(1, np.array([0.5]), np.array([[0.1, 0.9]]))
-    from netgrow import apply_growth
-
     honest = apply_growth(theta, grown)
     flat = np.array(honest.flat)
     flat[-1] = 0.7  # nonzero outgoing weight for the new neuron
@@ -162,22 +162,16 @@ def test_transfer_mixed_chain_across_layers():
     assert report.embedded_grad_norm <= 1e-6
 
 
-def test_transfer_plan_draws_safe_parameters(stationary_point, underfit_problem):
-    plan = GrowthPlan((GrowthStep("constant", 1, 2),))
-    report = verify_stationarity_transfer(
-        stationary_point, underfit_problem, plan, rng=np.random.default_rng(9)
-    )
-    assert report.passed
-
-
-def test_transfer_rejects_inert_without_flag(stationary_point, underfit_problem):
+def test_transfer_rejects_inert_growth(stationary_point, underfit_problem):
     spec = InertGrowth(1, np.array([0.5]), np.array([[0.1, 0.2]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="preserve stationarity"):
         verify_stationarity_transfer(stationary_point, underfit_problem, spec)
-    report = verify_stationarity_transfer(
-        stationary_point, underfit_problem, spec, allow_escape_maps=True
-    )
-    assert not report.passed  # random inert growth wakes the gradient
+    with pytest.raises(ValueError, match="preserve stationarity"):
+        verify_stationarity_transfer(stationary_point, underfit_problem, [spec])
+    # rightly so: this inert growth wakes the gradient past the transfer bound
+    source = grad_norm_inf(gradient_forward(stationary_point, underfit_problem))
+    grown = grad_norm_inf(gradient_forward(apply_growth(stationary_point, spec), underfit_problem))
+    assert grown > TRANSFER_SLACK * max(source, TRANSFER_FLOOR)
 
 
 def test_transfer_rejects_constant_with_nonzero_out(stationary_point, underfit_problem):
