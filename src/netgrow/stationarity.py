@@ -155,8 +155,13 @@ def verify_loss_invariance(
     *,
     rng: np.random.Generator | None = None,
 ) -> StationarityReport:
-    """Check that growing leaves the empirical risk unchanged at ``theta``."""
+    """Check that growing leaves the empirical risk unchanged at ``theta``.
+
+    A :class:`GrowthPlan` draws its steps' parameters from ``rng``.
+    """
     if isinstance(growth, GrowthPlan):
+        if rng is None:
+            raise ValueError("a growth plan needs an rng to draw its parameters")
         grown = apply_plan(theta, growth, rng=rng)
     else:
         grown = apply_growth(theta, growth)

@@ -229,7 +229,6 @@ def test_plan_errors_carry_step_index():
         apply_plan(theta, plan, rng=np.random.default_rng(0))
 
 
-
 def test_split_spec_of_zero_copies_is_identity():
     theta, _ = make_case([2, 2, 1])
     grown = apply_growth(theta, SplitGrowth(1, 0, 0, np.array([1.0])))

@@ -95,6 +95,14 @@ def test_loss_invariance_reports_pass_for_all_maps():
         assert report.risk_gap == abs(report.embedded_risk - report.source_risk)
 
 
+def test_loss_invariance_of_a_plan_needs_an_rng():
+    t = build_topology([2, 2, 1])
+    theta = ParamVector(t, np.zeros(param_count(t)))
+    data = Dataset(np.zeros((3, 2)), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="needs an rng"):
+        verify_loss_invariance(theta, data, GrowthPlan((GrowthStep("inert", 1, 1),)))
+
+
 def test_loss_invariance_fails_for_corrupted_growth():
     rng = np.random.default_rng(2)
     t = build_topology([2, 2, 1])
