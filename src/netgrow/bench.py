@@ -168,9 +168,9 @@ def save_stats_tsv(result: BenchResult, path) -> None:
     Rows follow the problem and solver order of the result's tables; a pair
     with no successful run has no row.
     """
-    groups: dict[tuple[str, str], list[TrainRun]] = {}
+    groups: dict[tuple[str, str], list[float]] = {}
     for (problem, _, solver), run in result.runs.items():
-        groups.setdefault((problem, solver), []).append(run)
+        groups.setdefault((problem, solver), []).append(run.final_risk)
     table = next(iter(result.tables.values()))
     problems = dict.fromkeys(row_id.rsplit("#", 1)[0] for row_id in table.problem_ids)
     with open(path, "w", encoding="utf-8") as handle:
@@ -238,15 +238,9 @@ def performance_ratio(table: ResultsTable, eps: float = ZERO_RISK_CLAMP) -> Rati
 
 def performance_profile(ratios, alphas) -> ProfileCurve:
     """Exact profile counting: rho_s(alpha) = fraction of rows with ratio <= alpha."""
-    if isinstance(ratios, RatioMatrix):
-        solver_ids: tuple[str, ...] = ()
-        matrix = ratios.ratios
-    elif isinstance(ratios, ResultsTable):
-        solver_ids = ratios.solver_ids
-        matrix = performance_ratio(ratios).ratios
-    else:
-        solver_ids = ()
-        matrix = np.asarray(ratios, dtype=np.float64)
+    table = ratios if isinstance(ratios, ResultsTable) else None
+    matrix = np.asarray(ratios if table is None else performance_ratio(table).ratios,
+                        dtype=np.float64)
     if matrix.size == 0:
         raise ValueError("empty ratio matrix")
     alphas = np.asarray(alphas, dtype=np.float64)
@@ -257,14 +251,12 @@ def performance_profile(ratios, alphas) -> ProfileCurve:
     for s in range(n_solvers):
         column = matrix[:, s]
         rho[s] = [(column <= a).sum() / n_problems for a in alphas]
-    if not solver_ids:
-        solver_ids = tuple(f"s{k}" for k in range(n_solvers))
+    solver_ids = tuple(f"s{k}" for k in range(n_solvers)) if table is None else table.solver_ids
     return ProfileCurve(alphas, rho, solver_ids)
 
 
-def summary_stats(runs: Sequence) -> dict[str, float]:
+def summary_stats(finals: Sequence[float]) -> dict[str, float]:
     """Five-number summary of final risks; quartiles use linear interpolation."""
-    finals = [r.final_risk if isinstance(r, TrainRun) else float(r) for r in runs]
     if not finals:
         raise ValueError("no runs to summarize")
     q1, median, q3 = np.percentile(finals, [25, 50, 75])
@@ -278,11 +270,16 @@ def summary_stats(runs: Sequence) -> dict[str, float]:
 
 
 def _run_cell(args):
+    """One cell's run and no error, or no run and the error; a cell never kills the sweep."""
     problem, solver, seed, budget = args
-    if isinstance(solver, StandardSolver):
-        return standard_train(problem, solver.width, tol=solver.tol, maxit=budget, seed=seed)
-    cfg = replace(solver.config, seed=seed, total_epoch_budget=budget)
-    return ita_train(problem, cfg)
+    try:
+        if isinstance(solver, StandardSolver):
+            run = standard_train(problem, solver.width, tol=solver.tol, maxit=budget, seed=seed)
+        else:
+            run = ita_train(problem, replace(solver.config, seed=seed, total_epoch_budget=budget))
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    return run, None
 
 
 def run_benchmark(
@@ -316,52 +313,29 @@ def run_benchmark(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate problem names: {names}")
 
-    max_budget = budgets[-1]
-    cells = []
-    keys = []
-    for ip, problem in enumerate(problems):
-        for ir in range(replicas):
-            for is_, solver in enumerate(solvers):
-                seed = cell_seed(base_seed, ip, ir, is_)
-                cells.append((problem, solver, seed, max_budget))
-                keys.append((problem.name, ir, solver.solver_id))
+    grid = [(ip, problem, ir, is_, solver)
+            for ip, problem in enumerate(problems)
+            for ir in range(replicas)
+            for is_, solver in enumerate(solvers)]
+    keys = [(problem.name, ir, solver.solver_id) for _, problem, ir, _, solver in grid]
+    cells = [(problem, solver, cell_seed(base_seed, ip, ir, is_), budgets[-1])
+             for ip, problem, ir, is_, solver in grid]
 
     if jobs > 1:
         # Imported here, so that a sequential run does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_cell_safe, cells))
+            outcomes = list(pool.map(_run_cell, cells))
     else:
-        outcomes = [_run_cell_safe(cell) for cell in cells]
+        outcomes = [_run_cell(cell) for cell in cells]
 
-    runs: dict[tuple[str, int, str], TrainRun] = {}
-    failures: list[str] = []
-    for key, (run, error) in zip(keys, outcomes):
-        if run is not None:
-            runs[key] = run
-        else:
-            failures.append(f"{key}: {error}")
-
-    n_rows = len(problems) * replicas
+    runs = {key: run for key, (run, _) in zip(keys, outcomes) if run is not None}
+    failures = tuple(f"{key}: {error}" for key, (run, error) in zip(keys, outcomes)
+                     if run is None)
+    row_ids = tuple(dict.fromkeys(f"{name}#{ir}" for name, ir, _ in keys))
     tables = {}
     for budget in budgets:
-        values = np.full((n_rows, len(solvers)), np.inf)
-        row_ids = []
-        row = 0
-        for ip, problem in enumerate(problems):
-            for ir in range(replicas):
-                row_ids.append(f"{problem.name}#{ir}")
-                for is_, solver in enumerate(solvers):
-                    run = runs.get((problem.name, ir, solver.solver_id))
-                    if run is not None:
-                        values[row, is_] = run.risk_after(budget)
-                row += 1
-        tables[budget] = ResultsTable(values, tuple(row_ids), tuple(ids), budget)
-    return BenchResult(tables=tables, runs=runs, failures=tuple(failures))
-
-
-def _run_cell_safe(args):
-    try:
-        return _run_cell(args), None
-    except Exception as exc:  # cell failures must never kill the sweep
-        return None, f"{type(exc).__name__}: {exc}"
+        values = [runs[key].risk_after(budget) if key in runs else np.inf for key in keys]
+        tables[budget] = ResultsTable(np.reshape(values, (len(row_ids), len(ids))), row_ids,
+                                      tuple(ids), budget)
+    return BenchResult(tables=tables, runs=runs, failures=failures)

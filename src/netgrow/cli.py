@@ -147,6 +147,11 @@ def _add_growth_flag(sub: argparse.ArgumentParser) -> None:
                      help="neurons added per stage: 'double', an int, or a comma list")
 
 
+def _growth_schedule(text: str):
+    """``--growth`` as ``ItaConfig`` takes it: ``"double"`` or a list of amounts."""
+    return text if text == "double" else _parse_list("--growth", text, int)
+
+
 def _save_run(out: Path, run) -> None:
     """Per-epoch metrics, the final model (binary and text) and a run summary."""
     _write_jsonl(out / "metrics.jsonl", run.epoch_records())
@@ -176,7 +181,7 @@ def cmd_ita(args) -> int:
     cfg = ItaConfig(
         initial_width=args.h0,
         max_width=args.hmax,
-        growth=args.growth if args.growth == "double" else _parse_list("--growth", args.growth, int),
+        growth=_growth_schedule(args.growth),
         final_grad_tol=args.final_tol,
         maxit_per_stage=args.maxit_per_stage,
         seed=args.seed,
@@ -198,7 +203,10 @@ def cmd_embed(args) -> int:
         raise UsageError(f"--shares and --source apply only to --map split, not {args.map!r}")
     # Given shares fix the copy count; given shares and source replace the drawn ones.
     shares = np.array(_parse_list("--shares", args.shares, float)) if args.shares else None
-    count = args.count if shares is None else shares.size - 1
+    count = (1 if args.count is None else args.count) if shares is None else shares.size - 1
+    if args.count not in (None, count):
+        raise UsageError(f"--count {args.count} disagrees with --shares {args.shares!r}, "
+                         f"which sets the count to {count}")
     if count < 1:
         raise UsageError(f"--count must be >= 1, got {count}" if shares is None else
                          f"--shares needs the source's share and one per copy, got {shares.size}")
@@ -289,8 +297,7 @@ def cmd_bench(args) -> int:
                     config=ItaConfig(
                         initial_width=args.h0,
                         max_width=args.hmax,
-                        growth=args.growth if args.growth == "double"
-                        else _parse_list("--growth", args.growth, int),
+                        growth=_growth_schedule(args.growth),
                         final_grad_tol=args.std_tol,
                         intermediate_loss_delta=args.ita_delta,
                     )
@@ -339,12 +346,15 @@ def cmd_profile(args) -> int:
     if not args.table:
         raise UsageError("give at least one --table")
     alphas = np.array(_parse_list("--alphas", args.alphas, float))
+    if alphas.size == 0:
+        raise UsageError(f"--alphas is empty: {args.alphas!r} holds no number")
     if alphas.size == 1:
         stop = alphas[0]
         if not 1.0 <= stop < np.inf:
             raise UsageError(f"--alphas grid end must be a finite number >= 1, got {args.alphas!r}")
-        count = round((stop - 1.0) / 0.05) + 1
-        alphas = np.linspace(1.0, stop, count)
+        # An end above 1 gets at least one step, so the grid ends where it was asked to.
+        steps = max(round((stop - 1.0) / 0.05), 1) if stop > 1.0 else 0
+        alphas = np.linspace(1.0, stop, steps + 1)
     tables = [(Path(table_path), load_results_tsv(table_path)) for table_path in args.table]
     stems: dict[str, Path] = {}
     for path, _ in tables:
@@ -352,17 +362,14 @@ def cmd_profile(args) -> int:
             raise UsageError(f"--table {stems[path.stem]} and --table {path} would both "
                              f"write profile_{path.stem}.tsv")
         stems[path.stem] = path
-    profiles = []
-    for path, table in tables:
-        ratio = performance_ratio(table)
-        curve = replace(performance_profile(ratio, alphas), solver_ids=table.solver_ids)
-        profiles.append((path, ratio, curve))
+    profiles = [(path, performance_ratio(table).clamped_rows, performance_profile(table, alphas))
+                for path, table in tables]
     out = _out_dir(args)
-    for path, ratio, curve in profiles:
+    for path, clamped_rows, curve in profiles:
         target = out / f"profile_{path.stem}.tsv"
         save_profile_tsv(curve, target)
-        if ratio.clamped_rows:
-            print(f"{path.name}: zero-risk clamp applied on rows {list(ratio.clamped_rows)}")
+        if clamped_rows:
+            print(f"{path.name}: zero-risk clamp applied on rows {list(clamped_rows)}")
         print(f"wrote {target.name}")
     return 0
 
@@ -403,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     embed.add_argument("--out-model", required=True)
     embed.add_argument("--map", default="inert", help="inert|constant|split (alpha|beta|gamma)")
     embed.add_argument("--layer", type=int, default=1)
-    embed.add_argument("--count", type=int, default=1)
+    embed.add_argument("--count", type=int, default=None,
+                       help="neurons to add (default 1; with --shares, one fewer than the shares)")
     embed.add_argument("--source", type=int, default=None, help="neuron to split")
     embed.add_argument("--shares", default=None, help="comma shares for split (sum 1)")
     embed.add_argument("--seed", type=int, default=0)

@@ -11,6 +11,7 @@ fixed-width baseline is the same loop started at the target width.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -134,9 +135,16 @@ class TrainRun:
     solver: str
     stages: tuple[StageRecord, ...]
     theta_final: ParamVector
-    cumulative_epochs: int
-    loss_trace: tuple[float, ...]
-    grad_trace: tuple[float, ...]
+
+    @property
+    def cumulative_epochs(self) -> int:
+        return sum(stage.iterations for stage in self.stages)
+
+    @cached_property
+    def loss_trace(self) -> tuple[float, ...]:
+        """Risk per epoch over all stages; a later stage's start repeats the previous end."""
+        tails = (risk for stage in self.stages[1:] for risk in stage.f_history[1:])
+        return self.stages[0].f_history + tuple(tails)
 
     @property
     def final_risk(self) -> float:
@@ -175,16 +183,6 @@ def _stage_hook(loss_delta: float):
         return improved_by <= loss_delta
 
     return hook
-
-
-def _concat_traces(stages: Sequence[StageRecord]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    loss_trace: list[float] = []
-    grad_trace: list[float] = []
-    for index, stage in enumerate(stages):
-        skip = 1 if index > 0 else 0  # stage starts duplicate the previous end risk
-        loss_trace.extend(stage.f_history[skip:])
-        grad_trace.extend(stage.g_history[skip:])
-    return tuple(loss_trace), tuple(grad_trace)
 
 
 def ita_train(data, cfg: ItaConfig) -> TrainRun:
@@ -271,15 +269,7 @@ def _train(data, cfg: ItaConfig, solver: str) -> TrainRun:
         )
         stage_index += 1
 
-    loss_trace, grad_trace = _concat_traces(stages)
-    return TrainRun(
-        solver=solver,
-        stages=tuple(stages),
-        theta_final=theta,
-        cumulative_epochs=epochs_used,
-        loss_trace=loss_trace,
-        grad_trace=grad_trace,
-    )
+    return TrainRun(solver=solver, stages=tuple(stages), theta_final=theta)
 
 
 def _grow_stage(

@@ -1,9 +1,11 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from netgrow import bench
 from netgrow import (
     IncrementalSolver,
     ItaConfig,
@@ -14,6 +16,7 @@ from netgrow import (
     performance_profile,
     performance_ratio,
     run_benchmark,
+    save_stats_tsv,
     standardize,
     summary_stats,
 )
@@ -208,6 +211,46 @@ def test_failed_cells_are_recorded_not_fatal():
     col = table.solver_ids.index("broken")
     assert np.all(np.isinf(table.values[:, col]))
     assert np.all(np.isfinite(table.values[:, 1 - col]))
+
+
+def test_failed_pair_lands_on_its_own_cells(monkeypatch, tmp_path):
+    # 2 problems x 2 replicas x 3 solvers; only ("b", "ita") fails.
+    def ita_train(problem, cfg, train=bench.ita_train):
+        if problem.name == "b":
+            raise RuntimeError("no growth on b")
+        return train(problem, cfg)
+
+    problems = [
+        replace(standardize(make_synthetic("sinusoid", n=1, m=1, samples=16, seed=6)), name=name)
+        for name in ("a", "b")
+    ]
+    solvers = [StandardSolver("narrow", width=3),
+               IncrementalSolver("ita", ItaConfig(initial_width=2, max_width=4)),
+               StandardSolver("wide", width=5)]
+    monkeypatch.setattr(bench, "ita_train", ita_train)
+    result = run_benchmark(problems, solvers, replicas=2, epoch_budgets=[4, 8], base_seed=2)
+    assert result.failures == ("('b', 0, 'ita'): RuntimeError: no growth on b",
+                               "('b', 1, 'ita'): RuntimeError: no growth on b")
+    assert sorted(result.runs) == sorted(
+        (p, r, s) for p in "ab" for r in (0, 1) for s in ("narrow", "ita", "wide")
+        if (p, s) != ("b", "ita")
+    )
+    for budget, table in result.tables.items():
+        assert table.problem_ids == ("a#0", "a#1", "b#0", "b#1")
+        assert table.solver_ids == ("narrow", "ita", "wide")
+        assert np.argwhere(np.isinf(table.values)).tolist() == [[2, 1], [3, 1]]
+        for (problem, replica, solver), run in result.runs.items():
+            row = table.problem_ids.index(f"{problem}#{replica}")
+            assert table.values[row, table.solver_ids.index(solver)] == run.risk_after(budget)
+
+    save_stats_tsv(result, tmp_path / "stats.tsv")
+    rows = [line.split("\t") for line in (tmp_path / "stats.tsv").read_text().splitlines()[1:]]
+    pairs = [("a", "narrow"), ("a", "ita"), ("a", "wide"), ("b", "narrow"), ("b", "wide")]
+    assert [tuple(row[:2]) for row in rows] == pairs
+    for (problem, solver), row in zip(pairs, rows):
+        finals = [result.runs[problem, r, solver].final_risk for r in (0, 1)]
+        stats = summary_stats(finals)
+        assert row[2:] == [repr(stats[key]) for key in ("min", "q1", "median", "q3", "max")]
 
 
 @pytest.mark.parametrize("kwargs, message", [

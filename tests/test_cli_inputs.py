@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from netgrow.cli import build_parser, main
@@ -69,9 +70,25 @@ def test_profile_alphas_grid_end_below_one_exits_2(tmp_path, capsys):
     assert not Path(tmp_path / "p" / "profile_t.tsv").exists()
 
 
+@pytest.mark.parametrize("alphas, grid", [
+    ("1.02", [1.0, 1.02]),
+    ("1.0", [1.0]),
+    ("1.5", list(np.linspace(1.0, 1.5, 11))),
+    ("10.0", list(np.linspace(1.0, 10.0, 181))),
+], ids=["end-below-one-step", "end-at-one", "short", "default"])
+def test_profile_alphas_grid_ends_at_the_given_end(tmp_path, alphas, grid):
+    table = tmp_path / "t.tsv"
+    table.write_text("problem\tsolver\treplica\tbudget\tfinal_risk\n"
+                     "p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n")
+    assert main(["profile", "--table", str(table), "--alphas", alphas,
+                 "--out", str(tmp_path / "p")]) == 0
+    lines = (tmp_path / "p" / "profile_t.tsv").read_text().splitlines()[1:]
+    assert [float(line.split("\t")[0]) for line in lines] == grid
+
+
 @pytest.mark.parametrize("rows, alphas, message", [
     ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n", "2.0,1.5", "alphas must be increasing"),
-    ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n", ",", "alphas must be increasing"),
+    ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n", ",", "--alphas is empty: ',' holds no number"),
     ("p0\ta\t0\t10\tinf\np0\tb\t0\t10\tinf\n", "2.0", "all solvers failed"),
 ], ids=["decreasing", "empty", "all-failed"])
 def test_profile_errors_leave_no_output_directory(tmp_path, capsys, rows, alphas, message):

@@ -57,13 +57,28 @@ def test_embed_split_honours_source_without_shares(tmp_path, model, seed):
     (["--count", "0"], "error: --count must be >= 1, got 0"),
     (["--map", "split", "--shares", "1"], "error: --shares needs the source's share and one"),
     (["--map", "split", "--shares", ","], "error: --shares needs the source's share and one"),
+    (["--map", "split", "--count", "3", "--shares", "0.5,0.5"],
+     "error: --count 3 disagrees with --shares '0.5,0.5', which sets the count to 1"),
 ], ids=["source-out-of-range", "source-out-of-range-with-shares", "shares-on-inert",
-        "source-on-constant", "unknown-map", "zero-count", "one-share", "no-shares"])
+        "source-on-constant", "unknown-map", "zero-count", "one-share", "no-shares",
+        "count-disagrees-with-shares"])
 def test_embed_rejects_bad_overrides(tmp_path, model, capsys, flags, expected):
     _, path = model
     assert embed(path, tmp_path / "g.bin", *flags) == 2
     assert expected in capsys.readouterr().err
     assert not (tmp_path / "g.bin").exists()
+
+
+@pytest.mark.parametrize("flags, added", [
+    ([], 1),
+    (["--count", "2"], 2),
+    (["--shares", "0.2,0.3,0.5"], 2),
+    (["--count", "2", "--shares", "0.2,0.3,0.5"], 2),
+], ids=["default", "count", "shares", "count-agrees-with-shares"])
+def test_embed_split_count(tmp_path, model, flags, added):
+    _, path = model
+    assert embed(path, tmp_path / "g.bin", "--map", "split", *flags) == 0
+    assert load_model(tmp_path / "g.bin").topology.layer_sizes == (2, 4 + added, 1)
 
 
 def test_config_json_reruns_its_command(tmp_path):

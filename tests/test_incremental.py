@@ -83,8 +83,27 @@ def test_post_growth_gradient_exceeds_stage_tolerance(problem):
 def test_loss_trace_is_per_epoch(problem):
     run = ita_train(problem, ItaConfig(initial_width=5, max_width=20, seed=6, maxit_per_stage=20))
     assert len(run.loss_trace) == run.cumulative_epochs + 1
-    assert len(run.grad_trace) == len(run.loss_trace)
+    assert len(list(run.epoch_records())) == len(run.loss_trace) + len(run.stages) - 1
     assert run.final_risk == run.loss_trace[-1]
+
+
+@pytest.mark.parametrize("maxit_per_stage", [0, 1, 20])
+def test_run_traces_are_read_from_the_stages(problem, maxit_per_stage):
+    cfg = ItaConfig(initial_width=3, max_width=12, seed=4, maxit_per_stage=maxit_per_stage)
+    run = ita_train(problem, cfg)
+    assert len(run.stages) == 3
+    assert [f.name for f in dataclasses.fields(run)] == ["solver", "stages", "theta_final"]
+    assert run.cumulative_epochs == sum(stage.iterations for stage in run.stages)
+    expected = [run.stages[0].start_risk]
+    for stage in run.stages:
+        assert len(stage.f_history) == stage.iterations + 1
+        expected.extend(stage.f_history[1:])
+    assert run.loss_trace == tuple(expected)
+    assert run.final_risk == expected[-1]
+    if maxit_per_stage == 0:
+        assert run.cumulative_epochs == 0
+        assert run.loss_trace == (run.stages[0].start_risk,)
+        assert run.final_risk == run.stages[0].f_history[0]
 
 
 def test_budget_cap_and_prefix_property(problem):
