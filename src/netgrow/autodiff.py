@@ -14,15 +14,17 @@ below, where the slope is taken from the forward pass's activation values.
 No ``P * H**2`` temporary is built, so memory stays at the ``(P, H)``
 signals of the forward pass.
 
-Those ``(P, H)`` arrays, four per hidden layer (pre-activation, activation,
-slope and step), are what an evaluation allocates. Once ``P * H * 8``
-reaches 128 KiB, glibc's default mmap threshold, the allocator can hand
-freed ones back to the OS, and the next call page-faults them in again.
-:func:`risk_objective` therefore builds one
+Those ``(P, H)`` arrays, two per hidden layer (pre-activation and
+activation), are what an evaluation needs: the sweep writes each hidden
+layer's slope over its pre-activations and its step over its activations,
+once the forward pass and the sweep have read them for the last time. Once
+``P * H * 8`` reaches 128 KiB, glibc's default mmap threshold, the allocator
+can hand freed arrays back to the OS, and the next call page-faults them in
+again. :func:`risk_objective` therefore builds one
 :class:`~netgrow.net_core.Workspace` per objective and evaluates into it, so
 repeated calls reuse the same buffers for as long as the objective lives. A
-direct :func:`risk_and_gradient` call allocates. Both run the same code and
-give the same bits, and the returned gradient is never a view of a buffer.
+direct :func:`risk_and_gradient` call builds its own workspace and runs the
+same code, and the returned gradient is never a view of a buffer.
 """
 
 from __future__ import annotations
@@ -57,33 +59,37 @@ def risk_and_gradient(
     """Empirical risk and its flat gradient, sharing one forward pass.
 
     ``work``, a :class:`Workspace` for ``theta``'s topology and the data's
-    sample count, takes the ``(P, H)`` arrays of the pass; without it they
-    are allocated. The returned gradient is a new array either way.
+    sample count, takes the ``(P, H)`` arrays of the pass; without it the
+    call builds its own. The returned gradient is a new array either way.
     """
     topology = theta.topology
     inputs, targets = _checked_data(topology, data)
     n_samples = inputs.shape[0]
     depth = topology.depth
     layers = theta.layer_arrays()
-    signals, pre = _forward(layers, inputs, work)
+    work = _forward(topology, layers, inputs, work)
+    pre, act = work.pre, work.act
+    signals = [inputs, *act]
     residual = pre[-1] - targets
     risk = _mean_risk(residual)
-    slope_out, step_out = (work.slope, work.step) if work is not None else ([None] * depth,) * 2
 
     # Backward sweep: u is d loss / d a^layer, one row per sample.
     u = _mse_slope(residual)
     grads = []
     for layer in range(depth, 0, -1):
         if layer < depth:
-            # signals[layer] holds this layer's tanh values z, and the slope
-            # is 1 - z**2. When u has one column, each entry of u @ W is a
-            # single product, and np.dot forms it with matmul's bits but
-            # without matmul's slow loop for that shape.
-            z = signals[layer]
-            slope = np.multiply(z, z, slope_out[layer - 1])
+            # act[layer - 1] holds this layer's tanh values z, and the slope
+            # 1 - z**2 goes over pre[layer - 1], which tanh read last. The
+            # step then goes over z, read last by the slope and by the weight
+            # partial of layer + 1; its input u lives in the layer above.
+            # When u has one column, each entry of u @ W is a single product,
+            # and np.dot forms it with matmul's bits but without matmul's
+            # slow loop for that shape.
+            z = act[layer - 1]
+            slope = np.multiply(z, z, pre[layer - 1])
             np.subtract(1.0, slope, slope)
             product = np.dot if u.shape[1] == 1 else np.matmul
-            u = product(u, layers[layer][1], step_out[layer - 1])
+            u = product(u, layers[layer][1], z)
             u *= slope
         grad_b = np.add.reduce(u, 0) / n_samples  # u.sum(axis=0) without its Python frame
         grad_w = (u.T @ signals[layer - 1]) / n_samples

@@ -165,13 +165,6 @@ class ParamVector:
         return [(block[:, 0], block[:, 1:]) for block in self.layer_blocks()]
 
 
-def _per_sample_mse(residual: np.ndarray) -> np.ndarray:
-    # Sum over count is exactly np.mean's arithmetic, without its wrapper;
-    # np.add.reduce is what ndarray.sum calls, without its Python frame.
-    sq = residual ** 2
-    return np.add.reduce(sq, -1) / sq.shape[-1]
-
-
 def _mse_slope(residual: np.ndarray) -> np.ndarray:
     """Partial of the per-sample mean square by each output, from ``residual = f - y``."""
     return 2.0 * residual / residual.shape[-1]
@@ -180,51 +173,44 @@ def _mse_slope(residual: np.ndarray) -> np.ndarray:
 class Workspace:
     """Reusable ``(P, H)`` buffers for evaluating one topology on ``P`` samples.
 
-    For layer ``l`` (1-based), ``pre[l - 1]`` receives its pre-activations and,
-    for a hidden layer, ``act[l - 1]`` its activations in the forward pass, and
-    ``slope[l - 1]`` and ``step[l - 1]`` the backward sweep's slope and step.
-    Each evaluation overwrites them, so a workspace serves one evaluation at a
-    time and nothing that outlives the evaluation may be a view of it.
+    For layer ``l`` (1-based), the forward pass writes its pre-activations into
+    ``pre[l - 1]`` and, for a hidden layer, its activations into ``act[l - 1]``.
+    The backward sweep then writes that hidden layer's slope over ``pre[l - 1]``
+    and its step over ``act[l - 1]``, each after its last read. Each evaluation
+    overwrites them, so a workspace serves one evaluation at a time and nothing
+    that outlives the evaluation may be a view of it.
     """
 
-    __slots__ = ("pre", "act", "slope", "step")
+    __slots__ = ("pre", "act")
 
     def __init__(self, topology: Topology, n_samples: int) -> None:
         sizes = topology.layer_sizes[1:]
         self.pre = [np.empty((n_samples, h)) for h in sizes]
         self.act = [np.empty((n_samples, h)) for h in sizes[:-1]]
-        self.slope = [np.empty((n_samples, h)) for h in sizes[:-1]]
-        self.step = [np.empty((n_samples, h)) for h in sizes[:-1]]
 
 
 def _forward(
+    topology: Topology,
     layers: list[tuple[np.ndarray, np.ndarray]],
     inputs: np.ndarray,
     work: Workspace | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The forward loop: per layer, the signal entering it and its pre-activations.
-
-    Without ``work`` every array is new; with it, the pre-activations and
-    activations are written into its buffers.
+) -> Workspace:
+    """The forward loop, written into ``work``, or into a new workspace for
+    ``topology`` when it is None; returns the workspace it filled.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    n_inputs = layers[0][1].shape[1]
+    n_inputs = topology.n_inputs
     if x.ndim != 2 or x.shape[1] != n_inputs:
         raise ValueError(f"inputs must have shape (P, {n_inputs}), got {x.shape}")
-    depth = len(layers)
-    # Without a workspace every slot is None, and numpy allocates the result.
-    pre_out, act_out = (work.pre, work.act) if work is not None else ([None] * depth,) * 2
-    signals = []
-    pre = []
+    if work is None:
+        work = Workspace(topology, x.shape[0])
     z = x
-    for layer, (b, w) in enumerate(layers, start=1):
-        signals.append(z)
-        a = np.matmul(z, w.T, pre_out[layer - 1])
+    for layer, (b, w) in enumerate(layers):
+        a = np.matmul(z, w.T, work.pre[layer])
         a += b
-        pre.append(a)
-        if layer < depth:
-            z = np.tanh(a, act_out[layer - 1])
-    return signals, pre
+        if layer < len(work.act):
+            z = np.tanh(a, work.act[layer])
+    return work
 
 
 def forward_batch(
@@ -236,7 +222,7 @@ def forward_batch(
     The output layer is linear, so the last entry is the batch of network
     outputs.
     """
-    return _forward(theta.layer_arrays(), inputs)[1]
+    return _forward(theta.topology, theta.layer_arrays(), inputs).pre
 
 
 def _mean_risk(residual: np.ndarray) -> float:
@@ -244,7 +230,9 @@ def _mean_risk(residual: np.ndarray) -> float:
 
     Takes the residual ``outputs - targets``, so that the gradient can share it.
     """
-    per_sample = _per_sample_mse(residual)
+    # np.add.reduce is what ndarray.sum calls, without its Python frame.
+    sq = residual ** 2
+    per_sample = np.add.reduce(sq, -1) / sq.shape[-1]
     return float(np.add.reduce(per_sample) / per_sample.size)
 
 

@@ -188,15 +188,18 @@ def lbfgs_minimize(
     cfg = cfg or LbfgsConfig()
     x = np.array(x0, dtype=np.float64).ravel()
     evaluations = 0
+    # The latest evaluation: the line search accepts the last step it tried.
+    last: tuple[float, np.ndarray]
 
     def evaluate(point: np.ndarray, where: str) -> tuple[float, np.ndarray]:
-        nonlocal evaluations
+        nonlocal evaluations, last
         evaluations += 1
         f, g = objective(point)
         g = np.asarray(g, dtype=np.float64).ravel()
         if not math.isfinite(f) or not np.isfinite(g).all():
             raise NumericalError(f"objective returned NaN/Inf {where}")
-        return float(f), g
+        last = float(f), g
+        return last
 
     f, g = evaluate(x, "at the starting point")
     g_inf = float(np.abs(g).max()) if g.size else 0.0
@@ -228,11 +231,8 @@ def lbfgs_minimize(
             d = -g
             slope = -float(g @ g)
 
-        cache: dict[float, tuple[float, np.ndarray]] = {}
-
         def phi(t: float) -> tuple[float, float]:
             ft, gt = evaluate(x + t * d, f"during the line search (step {t})")
-            cache[t] = (ft, gt)
             return ft, float(gt @ d)
 
         first_step = 1.0 if s_mem else min(1.0, 1.0 / (1.0 + float(np.abs(g).sum())))
@@ -241,7 +241,7 @@ def lbfgs_minimize(
         except LineSearchError:
             termination = "line_search_fail"
             break
-        f_new, g_new = cache[t]
+        f_new, g_new = last
 
         s = t * d
         y = g_new - g

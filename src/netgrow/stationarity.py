@@ -30,7 +30,7 @@ from .growth import (
     growth_label,
     random_growth,
 )
-from .net_core import ParamVector, Topology, param_count
+from .net_core import ParamVector, Topology, _block_views, param_count
 from .optimizer import LbfgsConfig, lbfgs_minimize
 
 __all__ = [
@@ -353,11 +353,9 @@ def control_records(topologies: Sequence[Topology], seed: int) -> Iterator[dict]
         theta = _random_network(topology, rng)
         grown = apply_growth(theta, random_growth("inert", topology, 1, 2, rng))
         # corrupt one of the zero outgoing weights of the first new neuron
-        layers = grown.layer_arrays()
-        weights = layers[1][1].copy()
-        weights[0, -2] = 0.7
-        layers[1] = (layers[1][0], weights)
-        corrupted = ParamVector.from_layer_arrays(grown.topology, layers)
+        flat = grown.flat.copy()
+        _block_views(grown.topology.layer_sizes, flat)[1][0, -2] = 0.7
+        corrupted = ParamVector(grown.topology, flat)
         report = risk_gap_report(theta, corrupted, _verify_fixture(topology, 1000 + t),
                                  "inert(corrupted)")
         yield report.to_record(topology, control=True, expected="fail")

@@ -80,16 +80,34 @@ def test_one_call_allocates_less_than_a_quarter_of_a_p_h_h_tensor():
     assert peak < samples * width * width * 8 / 4, peak
 
 
+def test_a_direct_call_holds_two_p_h_arrays_per_hidden_layer():
+    # The sweep writes its slope and step over the forward pass's arrays, so a
+    # direct call peaks near its own workspace of pre-activations and
+    # activations (2 P H floats), not at four arrays per hidden layer.
+    samples, width = 200, 100
+    theta, d = random_case([2, width, 1], samples, 0)
+    risk_and_gradient(theta, d)  # first call pays any lazy set-up
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        risk_and_gradient(theta, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * samples * width * 8, peak / (samples * width * 8)
+
+
 def kernel_slope(t):
     """The slope the backward sweep forms from tanh values, read back from its workspace.
 
-    A (1, 1, 1) net with unit weight and zero bias gets pre-activations ``t``.
+    A (1, 1, 1) net with unit weight and zero bias gets pre-activations ``t``;
+    the sweep writes the hidden layer's slope over them.
     """
     theta = ParamVector(build_topology([1, 1, 1]), [0.0, 1.0, 0.0, 1.0])
     inputs = np.asarray(t, dtype=np.float64).reshape(-1, 1)
     work = Workspace(theta.topology, inputs.shape[0])
     risk_and_gradient(theta, Dataset(inputs, np.zeros_like(inputs)), work=work)
-    return work.slope[0][:, 0]
+    return work.pre[0][:, 0]
 
 
 def test_slope_from_value_matches_sech_squared():

@@ -198,13 +198,13 @@ def test_output_affine_in_last_layer_params():
 
 def test_activation_derivatives_match_finite_differences():
     # the backward sweep's slope, read back from its workspace on a (1, 1, 1)
-    # net whose pre-activations are the grid
+    # net whose pre-activations are the grid: the sweep writes it over them
     grid = np.linspace(-3.0, 3.0, 41)
     h = 1e-6
     theta = ParamVector(build_topology([1, 1, 1]), [0.0, 1.0, 0.0, 1.0])
     work = Workspace(theta.topology, grid.size)
     risk_and_gradient(theta, Dataset(grid[:, None], np.zeros((grid.size, 1))), work=work)
-    exact = work.slope[0][:, 0]
+    exact = work.pre[0][:, 0]
     numeric = (np.tanh(grid + h) - np.tanh(grid - h)) / (2 * h)
     rel = np.max(np.abs(numeric - exact) / (1.0 + np.abs(exact)))
     assert rel <= 1e-6

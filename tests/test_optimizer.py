@@ -161,3 +161,60 @@ def test_line_search_failure_returns_best_iterate():
     res = lbfgs_minimize(kinked, np.array([2.0]), LbfgsConfig(max_iter=60))
     assert res.termination == "line_search_fail"
     assert res.f_final <= 2.0
+
+
+def _searched(phi, f0, slope0, initial_step, cfg=None):
+    """The step the line search returns, and every step it evaluated, in order."""
+    tried = []
+
+    def recorded(t):
+        tried.append(t)
+        return phi(t)
+
+    step = line_search_strong_wolfe(recorded, f0, slope0, cfg or LbfgsConfig(), initial_step)
+    return step, tried
+
+
+# lbfgs_minimize keeps only the latest evaluation and takes it as the accepted
+# step's value and gradient, so the search must return the last step it tried.
+@pytest.mark.parametrize(
+    "phi, f0, slope0, initial_step, cfg, evaluations",
+    [
+        # bracketing: the step doubles twice and is accepted in the outer loop
+        (lambda t: ((t - 4.0) ** 2, 2.0 * (t - 4.0)), 16.0, -8.0, 0.1, None, 3),
+        # zoom after the first step fails sufficient decrease
+        (lambda t: (-np.sin(3 * t) + 0.05 * t**4, -3 * np.cos(3 * t) + 0.2 * t**3),
+         0.0, -3.0, 10.0, LbfgsConfig(wolfe_c2=0.1), 6),
+        # zoom after the first step overshoots to a rising slope
+        (lambda t: ((t - 1.0) ** 2, 2.0 * (t - 1.0)), 1.0, -2.0, 1.95, None, 2),
+    ],
+    ids=["bracketing", "zoom-decrease", "zoom-slope"],
+)
+def test_line_search_returns_the_last_step_it_evaluated(phi, f0, slope0, initial_step, cfg,
+                                                        evaluations):
+    step, tried = _searched(phi, f0, slope0, initial_step, cfg)
+    assert len(tried) == evaluations
+    assert step == tried[-1]
+
+
+def test_random_line_searches_return_their_last_step():
+    rng = np.random.default_rng(0)
+    longer = 0
+    for _ in range(300):
+        a, w, p = rng.uniform(0.1, 2.0, 3), rng.uniform(0.2, 5.0, 3), rng.uniform(0, 6.3, 3)
+        c = rng.uniform(0.01, 1.0)
+
+        def phi(t):
+            return (float(a @ np.sin(w * t + p)) + c * t * t,
+                    float(a @ (w * np.cos(w * t + p))) + 2.0 * c * t)
+
+        f0, slope0 = phi(0.0)
+        if slope0 >= 0.0:
+            continue
+        try:
+            step, tried = _searched(phi, f0, slope0, float(rng.uniform(0.05, 10.0)))
+        except LineSearchError:
+            continue
+        assert step == tried[-1]
+        longer += len(tried) > 1
+    assert longer >= 50

@@ -111,7 +111,7 @@ def test_random_nets_give_the_allocating_bits_through_a_workspace():
 
 
 def _buffers(work):
-    return [*work.pre, *work.act, *work.slope, *work.step]
+    return [*work.pre, *work.act]
 
 
 def test_a_returned_gradient_survives_the_next_call():
@@ -145,9 +145,9 @@ def test_nothing_returned_is_a_view_of_the_workspace():
 def test_a_workspace_holds_one_buffer_set_per_layer():
     work = Workspace(Topology((3, 20, 10, 2)), 40)
     assert [b.shape for b in work.pre] == [(40, 20), (40, 10), (40, 2)]
-    for buffers in (work.act, work.slope, work.step):
-        assert [b.shape for b in buffers] == [(40, 20), (40, 10)]
-    assert len({id(b) for b in _buffers(work)}) == 9
+    assert [b.shape for b in work.act] == [(40, 20), (40, 10)]
+    assert Workspace.__slots__ == ("pre", "act")
+    assert len({id(b) for b in _buffers(work)}) == 5
 
 
 @pytest.mark.parametrize("samples", [1, 2, 3, 16, 24, 150, 200, 257])
