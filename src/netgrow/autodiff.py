@@ -25,6 +25,18 @@ again. :func:`risk_objective` therefore builds one
 repeated calls reuse the same buffers for as long as the objective lives. A
 direct :func:`risk_and_gradient` call builds its own workspace and runs the
 same code, and the returned gradient is never a view of a buffer.
+
+On the nets of a few neurons that stationary-point searches use, numpy's
+fixed cost per call, not arithmetic, sets the price of an evaluation.
+:func:`stacked_risk_objective` evaluates ``K`` networks of one topology in
+one pass: it takes a ``(K, n)`` array of flat vectors and runs the same
+ufuncs with a leading batch axis (``np.matmul`` broadcasts over it), into a
+stacked workspace allocated once and sliced to ``K`` on each call. Both
+paths share one backward sweep, ``_sweep``, and numpy applies the same
+inner loop to each batch entry as to a single ``(P, H)`` array, so every
+member gets the bits of its own :func:`risk_and_gradient` call. The one
+difference in the sweep: a single call forms a one-column step with
+``np.dot``, which does not batch, and a stacked call with ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from .net_core import (
     ParamVector,
     Topology,
     Workspace,
+    _block_views,
     _checked_data,
     _forward,
     _mean_risk,
@@ -45,10 +58,49 @@ from .net_core import (
 __all__ = [
     "risk_and_gradient",
     "risk_objective",
+    "stacked_risk_objective",
     "gradient_forward",
     "gradient_finite_diff",
     "grad_norm_inf",
 ]
+
+
+def _sweep(layers, inputs: np.ndarray, targets: np.ndarray, work: Workspace):
+    """Risk and per-layer ``(bias, weight)`` partials from a workspace the forward pass filled.
+
+    Every array may carry a leading batch axis, one entry per network of a
+    stacked evaluation (see :func:`_forward`); the ufuncs are the same either way.
+    """
+    n_samples = inputs.shape[0]
+    depth = len(layers)
+    pre, act = work.pre, work.act
+    signals = [inputs, *act]
+    residual = pre[-1] - targets
+    risk = _mean_risk(residual)
+
+    # Backward sweep: u is d loss / d a^layer, one row per sample.
+    u = _mse_slope(residual)
+    grads = []
+    for layer in range(depth, 0, -1):
+        if layer < depth:
+            # act[layer - 1] holds this layer's tanh values z, and the slope
+            # 1 - z**2 goes over pre[layer - 1], which tanh read last. The
+            # step then goes over z, read last by the slope and by the weight
+            # partial of layer + 1; its input u lives in the layer above.
+            # When a single u has one column, each entry of u @ W is a single
+            # product, and np.dot forms it with matmul's bits but without
+            # matmul's slow loop for that shape (np.dot does not batch).
+            z = act[layer - 1]
+            slope = np.multiply(z, z, pre[layer - 1])
+            np.subtract(1.0, slope, slope)
+            product = np.dot if u.ndim == 2 and u.shape[1] == 1 else np.matmul
+            u = product(u, layers[layer][1], z)
+            u *= slope
+        grad_b = np.add.reduce(u, -2) / n_samples  # u.sum(axis=-2) without its Python frame
+        grad_w = (u.swapaxes(-1, -2) @ signals[layer - 1]) / n_samples
+        grads.append((grad_b, grad_w))
+    return risk, grads[::-1]
+
 
 def risk_and_gradient(
     theta: ParamVector,
@@ -64,39 +116,10 @@ def risk_and_gradient(
     """
     topology = theta.topology
     inputs, targets = _checked_data(topology, data)
-    n_samples = inputs.shape[0]
-    depth = topology.depth
     layers = theta.layer_arrays()
     work = _forward(topology, layers, inputs, work)
-    pre, act = work.pre, work.act
-    signals = [inputs, *act]
-    residual = pre[-1] - targets
-    risk = _mean_risk(residual)
-
-    # Backward sweep: u is d loss / d a^layer, one row per sample.
-    u = _mse_slope(residual)
-    grads = []
-    for layer in range(depth, 0, -1):
-        if layer < depth:
-            # act[layer - 1] holds this layer's tanh values z, and the slope
-            # 1 - z**2 goes over pre[layer - 1], which tanh read last. The
-            # step then goes over z, read last by the slope and by the weight
-            # partial of layer + 1; its input u lives in the layer above.
-            # When u has one column, each entry of u @ W is a single product,
-            # and np.dot forms it with matmul's bits but without matmul's
-            # slow loop for that shape.
-            z = act[layer - 1]
-            slope = np.multiply(z, z, pre[layer - 1])
-            np.subtract(1.0, slope, slope)
-            product = np.dot if u.shape[1] == 1 else np.matmul
-            u = product(u, layers[layer][1], z)
-            u *= slope
-        grad_b = np.add.reduce(u, 0) / n_samples  # u.sum(axis=0) without its Python frame
-        grad_w = (u.T @ signals[layer - 1]) / n_samples
-        grads.append((grad_b, grad_w))
-
-    flat = ParamVector.from_layer_arrays(topology, grads[::-1]).flat
-    return risk, flat
+    risk, grads = _sweep(layers, inputs, targets, work)
+    return float(risk), ParamVector.from_layer_arrays(topology, grads).flat
 
 
 def risk_objective(
@@ -112,6 +135,51 @@ def risk_objective(
 
     def objective(flat: np.ndarray):
         return risk_and_gradient(ParamVector(topology, flat), data, work=work)
+
+    return objective
+
+
+def stacked_risk_objective(
+    topology: Topology,
+    data,
+    capacity: int,
+):
+    """Risks and gradients of up to ``capacity`` networks of one topology per call.
+
+    The objective maps a ``(K, n)`` array of flat parameter vectors, ``K <=
+    capacity``, to ``K`` risks and a new ``(K, n)`` array of their gradients;
+    row ``k`` has the bits :func:`risk_and_gradient` gives for row ``k`` of
+    the input. The data are checked once, here, and the stacked workspace is
+    allocated once and sliced to ``K`` on each call, so the objective serves
+    one call at a time.
+    """
+    inputs, targets = _checked_data(topology, data)
+    work = Workspace(topology, inputs.shape[0], capacity)
+    n_params = topology.n_params
+    # Each layer's columns in a (K, n) stack and its block's shape, read off
+    # the flat layout's block views of the entry indices.
+    spans = [(slice(block[0, 0], block[-1, -1] + 1), block.shape)
+             for block in _block_views(topology.layer_sizes, np.arange(n_params))]
+
+    def blocks(flats: np.ndarray) -> list[np.ndarray]:
+        k = flats.shape[0]
+        return [flats[:, span].reshape(k, *shape) for span, shape in spans]
+
+    def objective(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        thetas = np.asarray(thetas, dtype=np.float64)
+        k = thetas.shape[0]
+        if thetas.shape != (k, n_params) or not 1 <= k <= capacity:
+            raise ValueError(f"expected (K, {n_params}) parameters with 1 <= K <= {capacity}, "
+                             f"got {thetas.shape}")
+        # biases as (K, 1, H), so that they broadcast over the samples
+        layers = [(block[:, None, :, 0], block[..., 1:]) for block in blocks(thetas)]
+        risks, partials = _sweep(layers, inputs, targets,
+                                 _forward(topology, layers, inputs, work.head(k)))
+        grads = np.empty((k, n_params))
+        for (grad_b, grad_w), block in zip(partials, blocks(grads)):
+            block[..., 0] = grad_b
+            block[..., 1:] = grad_w
+        return risks, grads
 
     return objective
 
@@ -133,7 +201,7 @@ def gradient_finite_diff(
     data,
     step: float = 1e-6,
 ) -> ParamVector:
-    """Central-difference gradient, the test oracle for :func:`gradient_forward`."""
+    """Central-difference gradient, the test oracle for :func:`risk_and_gradient`."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     base = np.array(theta.flat)

@@ -179,14 +179,26 @@ class Workspace:
     and its step over ``act[l - 1]``, each after its last read. Each evaluation
     overwrites them, so a workspace serves one evaluation at a time and nothing
     that outlives the evaluation may be a view of it.
+
+    With ``members``, each buffer is a ``(members, P, H)`` stack, one ``(P, H)``
+    array per network of a stacked evaluation; :meth:`head` gives the first
+    ``K`` of them.
     """
 
     __slots__ = ("pre", "act")
 
-    def __init__(self, topology: Topology, n_samples: int) -> None:
+    def __init__(self, topology: Topology, n_samples: int, members: int | None = None) -> None:
+        lead = () if members is None else (members,)
         sizes = topology.layer_sizes[1:]
-        self.pre = [np.empty((n_samples, h)) for h in sizes]
-        self.act = [np.empty((n_samples, h)) for h in sizes[:-1]]
+        self.pre = [np.empty((*lead, n_samples, h)) for h in sizes]
+        self.act = [np.empty((*lead, n_samples, h)) for h in sizes[:-1]]
+
+    def head(self, k: int) -> "Workspace":
+        """The first ``k`` members of a stacked workspace, as views of its buffers."""
+        view = Workspace.__new__(Workspace)
+        view.pre = [buffer[:k] for buffer in self.pre]
+        view.act = [buffer[:k] for buffer in self.act]
+        return view
 
 
 def _forward(
@@ -197,6 +209,10 @@ def _forward(
 ) -> Workspace:
     """The forward loop, written into ``work``, or into a new workspace for
     ``topology`` when it is None; returns the workspace it filled.
+
+    Each layer is a ``(biases, weights)`` pair. Stacked weights ``(K, H,
+    H_prev)`` with biases ``(K, 1, H)`` run the same ufuncs on a stacked
+    workspace: a leading batch axis, one ``(P, H)`` slice per network.
     """
     x = np.asarray(inputs, dtype=np.float64)
     n_inputs = topology.n_inputs
@@ -206,7 +222,7 @@ def _forward(
         work = Workspace(topology, x.shape[0])
     z = x
     for layer, (b, w) in enumerate(layers):
-        a = np.matmul(z, w.T, work.pre[layer])
+        a = np.matmul(z, w.swapaxes(-1, -2), work.pre[layer])
         a += b
         if layer < len(work.act):
             z = np.tanh(a, work.act[layer])
@@ -225,15 +241,16 @@ def forward_batch(
     return _forward(theta.topology, theta.layer_arrays(), inputs).pre
 
 
-def _mean_risk(residual: np.ndarray) -> float:
+def _mean_risk(residual: np.ndarray) -> np.ndarray:
     """Mean over the samples of the per-sample mean square, as sum over count like ``np.mean``.
 
     Takes the residual ``outputs - targets``, so that the gradient can share it.
+    A ``(P, m)`` residual gives a numpy scalar, a ``(K, P, m)`` stack ``K`` risks.
     """
     # np.add.reduce is what ndarray.sum calls, without its Python frame.
     sq = residual ** 2
     per_sample = np.add.reduce(sq, -1) / sq.shape[-1]
-    return float(np.add.reduce(per_sample) / per_sample.size)
+    return np.add.reduce(per_sample, -1) / per_sample.shape[-1]
 
 
 def _checked_data(topology: Topology, data) -> tuple[np.ndarray, np.ndarray]:
@@ -258,4 +275,4 @@ def empirical_risk(
     """Mean-squared error of the network over a dataset (needs ``.inputs``/``.targets``)."""
     inputs, targets = _checked_data(theta.topology, data)
     outputs = forward_batch(theta, inputs)[-1]
-    return _mean_risk(outputs - targets)
+    return float(_mean_risk(outputs - targets))

@@ -6,18 +6,28 @@ growth with zero outgoing weights, and splits) must map zero-gradient points
 to zero-gradient points. Both are certified numerically against thresholds.
 The ``*_records`` generators are the suite ``netgrow verify`` runs, one per
 check family; each yields the plain records it writes to ``reports.jsonl``.
+
+The transfer checks need stationary points of one small net from many start
+seeds, and on a net that small numpy's fixed cost per call, not arithmetic,
+sets the price of an evaluation. :func:`_stationary_points` therefore runs
+up to ``SEARCHES_IN_FLIGHT`` searches in lockstep, each a resumable L-BFGS
+(:func:`~netgrow.optimizer.lbfgs_search`), and evaluates each round's points
+in one stacked call (:func:`~netgrow.autodiff.stacked_risk_objective`). It
+launches the next seed only while the converged searches plus those in
+flight are fewer than it wants, so it runs exactly the seeds a loop over
+:func:`find_stationary_point` runs, each to the same bits, and discards
+none. :func:`escape_rate` evaluates all its grown nets in one stacked call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .autodiff import grad_norm_inf, risk_and_gradient, risk_objective
+from .autodiff import grad_norm_inf, risk_and_gradient, risk_objective, stacked_risk_objective
 from .data import Dataset, make_synthetic, standardize
 from .growth import (
     ConstantGrowth,
@@ -31,7 +41,7 @@ from .growth import (
     random_growth,
 )
 from .net_core import ParamVector, Topology, _block_views, param_count
-from .optimizer import LbfgsConfig, lbfgs_minimize
+from .optimizer import LbfgsConfig, OptimResult, lbfgs_minimize, lbfgs_search
 
 __all__ = [
     "StationarityReport",
@@ -62,6 +72,8 @@ TRANSFER_FLOOR = 1e-14
 # stationary point. Converging searches on the verify and criterion-3
 # fixtures peak below 141.
 DIVERGENCE_BOUND = 300.0
+# The most stationary-point searches that advance together in _stationary_points.
+SEARCHES_IN_FLIGHT = 16
 
 
 class NonConvergenceError(RuntimeError):
@@ -127,14 +139,25 @@ def find_stationary_point(
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    rng = np.random.default_rng(seed)
-    start = rng.uniform(0.0, 1.0, param_count(topology))
     result = lbfgs_minimize(
         risk_objective(topology, data),
-        start,
+        _search_start(topology, seed),
         LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter),
-        stop_hook=lambda _k, x, _f, _g: float(np.abs(x).max()) > DIVERGENCE_BOUND,
+        stop_hook=_diverged,
     )
+    return _stationary(topology, result, tol)
+
+
+def _search_start(topology: Topology, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(0.0, 1.0, param_count(topology))
+
+
+def _diverged(_k, x, _f, _g) -> bool:
+    return float(np.abs(x).max()) > DIVERGENCE_BOUND
+
+
+def _stationary(topology: Topology, result: OptimResult, tol: float) -> ParamVector:
+    """The point a search reached, or :class:`NonConvergenceError` if its gradient is above ``tol``."""
     if result.grad_norm_final > tol:
         if result.termination == "custom":
             outcome = "diverged"
@@ -146,6 +169,43 @@ def find_stationary_point(
             result.grad_norm_final, outcome, result.iterations, result.evaluations, detail
         )
     return ParamVector(topology, result.theta)
+
+
+def _stationary_points(topology: Topology, data, seeds: range, wanted: int, *,
+                       tol: float, max_iter: int) -> list[tuple[int, ParamVector]]:
+    """``(seed, theta)`` of the first ``wanted`` start seeds whose searches converge, in seed order.
+
+    Each search is :func:`find_stationary_point`'s, as a resumable
+    :func:`~netgrow.optimizer.lbfgs_search`. Up to ``SEARCHES_IN_FLIGHT`` of
+    them advance in lockstep, and each round evaluates their points in one
+    stacked call. The next seed is launched only while the converged searches
+    plus those in flight fall short of ``wanted``, so exactly the seeds a loop
+    over :func:`find_stationary_point` would try run, and none is thrown away.
+    """
+    objective = stacked_risk_objective(topology, data, SEARCHES_IN_FLIGHT)
+    cfg = LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter)
+    pending = iter(seeds)
+    flight: dict[int, list] = {}  # seed -> [search, the point it waits on]
+    points = []
+    while True:
+        while len(flight) < SEARCHES_IN_FLIGHT and len(points) + len(flight) < wanted:
+            seed = next(pending, None)
+            if seed is None:
+                break
+            search = lbfgs_search(_search_start(topology, seed), cfg, _diverged)
+            flight[seed] = [search, next(search)]
+        if not flight:
+            return sorted(points, key=lambda point: point[0])
+        risks, grads = objective(np.stack([point for _, point in flight.values()]))
+        for k, (seed, entry) in enumerate(list(flight.items())):
+            try:
+                entry[1] = entry[0].send((risks[k], grads[k]))
+            except StopIteration as done:
+                del flight[seed]
+                try:
+                    points.append((seed, _stationary(topology, done.value, tol)))
+                except NonConvergenceError:
+                    pass
 
 
 def verify_loss_invariance(
@@ -266,13 +326,12 @@ def escape_rate(
     optimizer up again; it should be near one for uniform(0,1) draws.
     """
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(draws):
-        spec = random_growth("inert", theta.topology, layer, count, rng)
-        grown = apply_growth(theta, spec)
-        _, grad = risk_and_gradient(grown, data)
-        if grad_norm_inf(grad) > threshold:
-            hits += 1
+    grown = [apply_growth(theta, random_growth("inert", theta.topology, layer, count, rng))
+             for _ in range(draws)]
+    # one stacked evaluation of all draws, each with the bits of its own call
+    _, grads = stacked_risk_objective(grown[0].topology, data, draws)(
+        np.stack([g.flat for g in grown]))
+    hits = sum(grad_norm_inf(grad) > threshold for grad in grads)
     return hits / draws
 
 
@@ -366,20 +425,13 @@ def _teacher_fixture(noise: float, width: int) -> Dataset:
                                       seed=6, teacher_width=width))
 
 
-def _stationary_points(topology: Topology, data: Dataset, first_seed: int, attempts: int):
-    """Yield ``(seed, theta)`` for each start seed whose stationary-point search converges."""
-    for seed in range(first_seed, first_seed + attempts):
-        try:
-            yield seed, find_stationary_point(topology, data, tol=1e-8, max_iter=3000, seed=seed)
-        except NonConvergenceError:
-            continue
-
-
 def transfer_records(seeds: int, seed: int) -> Iterator[dict]:
     """Constant and split transfer checks at ``seeds`` stationary points of a (2,2,1) net."""
     fixture = _teacher_fixture(0.1, 5)
-    points = _stationary_points(Topology((2, 2, 1)), fixture, seed + 1, seeds * 4)
-    for start, theta in islice(points, seeds):
+    starts = range(seed + 1, seed + 1 + seeds * 4)
+    points = _stationary_points(Topology((2, 2, 1)), fixture, starts, seeds, tol=1e-8,
+                                max_iter=3000)
+    for start, theta in points:
         rng = np.random.default_rng(start + 500)
         for kind in ("constant", "split"):
             spec = transfer_safe_spec(kind, theta.topology, 1, 2, rng)
@@ -391,8 +443,14 @@ def escape_records(seed: int) -> Iterator[dict]:
     """At a stationary point of a (2,1,1) net, >= 90 % of 50 inert growths must escape."""
     # a width-1 student of a wide teacher keeps a large residual, so growth wakes it up
     fixture = _teacher_fixture(0.2, 8)
-    _, theta = next(_stationary_points(Topology((2, 1, 1)), fixture, seed, 20), (None, None))
-    if theta is None:
+    for start in range(seed, seed + 20):
+        try:
+            theta = find_stationary_point(Topology((2, 1, 1)), fixture, tol=1e-8, max_iter=3000,
+                                          seed=start)
+            break
+        except NonConvergenceError:
+            pass
+    else:
         raise RuntimeError("no stationary point found for the escape check")
     rate = escape_rate(theta, fixture, layer=1, count=2, draws=50, threshold=1e-3, seed=seed)
     yield {

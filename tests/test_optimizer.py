@@ -8,6 +8,7 @@ from netgrow import (
     lbfgs_minimize,
     line_search_strong_wolfe,
 )
+from netgrow.optimizer import lbfgs_search
 
 
 def quadratic(matrix, shift=None):
@@ -218,3 +219,46 @@ def test_random_line_searches_return_their_last_step():
         assert step == tried[-1]
         longer += len(tried) > 1
     assert longer >= 50
+
+
+def _kinked(x):
+    return float(np.abs(x[0])), np.array([np.sign(x[0]) if x[0] != 0 else 1.0])
+
+
+# lbfgs_minimize is lbfgs_search run with its objective; a driver that answers
+# the points it yields one by one must see the same search, bit for bit.
+@pytest.mark.parametrize(
+    "objective, x0, cfg, hook, termination",
+    [
+        (rosenbrock, [-1.2, 1.0], LbfgsConfig(grad_tol_inf=1e-9), None, "grad_tol"),
+        (rosenbrock, [-1.2, 1.0], LbfgsConfig(max_iter=100), lambda k, x, f, g: k >= 7, "custom"),
+        (rosenbrock, [-1.2, 1.0], LbfgsConfig(max_iter=12), None, "max_iter"),
+        (_kinked, [2.0], LbfgsConfig(max_iter=60), None, "line_search_fail"),
+    ],
+    ids=["grad_tol", "custom", "max_iter", "line_search_fail"],
+)
+def test_a_search_answered_point_by_point_is_lbfgs_minimize(objective, x0, cfg, hook,
+                                                            termination):
+    want = lbfgs_minimize(objective, np.array(x0), cfg, hook)
+    search = lbfgs_search(np.array(x0), cfg, hook)
+    points = []
+    try:
+        point = next(search)
+        while True:
+            points.append(point)
+            point = search.send(objective(point))
+    except StopIteration as done:
+        got = done.value
+    assert got.termination == want.termination == termination
+    assert got.evaluations == want.evaluations == len(points)
+    assert got.theta.tobytes() == want.theta.tobytes()
+    assert (got.iterations, got.f_final, got.grad_norm_final) == (
+        want.iterations, want.f_final, want.grad_norm_final)
+    assert got.f_history == want.f_history and got.g_history == want.g_history
+
+
+def test_a_search_refuses_a_nan_it_is_sent():
+    search = lbfgs_search(np.array([1.0, 2.0]))
+    point = search.send(None)
+    with pytest.raises(NumericalError, match="at the starting point"):
+        search.send((float("nan"), np.zeros_like(point)))

@@ -11,11 +11,14 @@ Each command runs in-process, with BLAS pinned to one thread, inside a
 temporary directory and with relative ``--out`` paths, so the echoed
 ``config.json`` files do not depend on where the run happens. The output is
 one ``<sha256>  <path>`` line per output file, sorted by path, followed by
-``#`` lines with deterministic counts: the ``risk_and_gradient`` calls of
-each certify-panel run (``verify --maps , --transfer --expect-escape --seed
+``#`` lines with deterministic counts: the gradient evaluations of each
+certify-panel run (``verify --maps , --transfer --expect-escape --seed
 s`` for s = 0, 100, 200, 300), their total, and the calls made through
 ``netgrow.incremental`` over the command list, one per growth draw of the
-``ita`` and ``bench`` runs. Outputs whose floating-point rounding a change
+``ita`` and ``bench`` runs. A ``risk_and_gradient`` call is one evaluation,
+and so is each network of a stacked call (``stacked_risk_objective``), so
+the counts do not depend on how the evaluations are batched; the count
+lines keep their ``risk_and_gradient calls`` wording. Outputs whose floating-point rounding a change
 moves show up as changed lines; a change meant to keep results
 byte-identical leaves the output equal to the manifest.
 
@@ -96,23 +99,39 @@ COMMANDS = (
 
 @contextlib.contextmanager
 def counting_gradient_calls(prefix: str = "netgrow"):
-    """Count ``risk_and_gradient`` calls at every module under ``prefix`` that binds it."""
-    original = autodiff.risk_and_gradient
+    """Count gradient evaluations at every module under ``prefix``.
+
+    Each ``risk_and_gradient`` call counts one, and so does each network of a
+    call of an objective built by ``stacked_risk_objective``: a stacked call
+    of K networks is K evaluations.
+    """
+    single, stacked = autodiff.risk_and_gradient, autodiff.stacked_risk_objective
     calls = [0]
 
-    def counted(*args, **kwargs):
+    def counted_single(*args, **kwargs):
         calls[0] += 1
-        return original(*args, **kwargs)
+        return single(*args, **kwargs)
 
-    modules = [module for name, module in sys.modules.items()
-               if name.startswith(prefix) and getattr(module, "risk_and_gradient", None) is original]
-    for module in modules:
-        module.risk_and_gradient = counted
+    def counted_stacked(*args, **kwargs):
+        objective = stacked(*args, **kwargs)
+
+        def counted(thetas):
+            calls[0] += len(thetas)
+            return objective(thetas)
+
+        return counted
+
+    wrappers = {"risk_and_gradient": (single, counted_single),
+                "stacked_risk_objective": (stacked, counted_stacked)}
+    patched = [(module, attr) for name, module in list(sys.modules.items()) if name.startswith(prefix)
+               for attr, (original, _) in wrappers.items() if getattr(module, attr, None) is original]
+    for module, attr in patched:
+        setattr(module, attr, wrappers[attr][1])
     try:
         yield calls
     finally:
-        for module in modules:
-            module.risk_and_gradient = original
+        for module, attr in patched:
+            setattr(module, attr, wrappers[attr][0])
 
 
 def run(argv: list[str]) -> None:
