@@ -256,14 +256,14 @@ def cmd_verify(args) -> int:
         if any(topology.depth < 2 for topology in topologies):
             raise UsageError(f"verify topologies need a hidden layer, got {args.topologies!r}")
         records = stationarity.risk_records(topologies, kinds, args.seeds, args.seed)
-    out = _out_dir(args)
+    # The checks run before --out is made, so bad input leaves none behind.
     reports = list(chain(
         records,
         stationarity.control_records(topologies, args.seed) if args.negative_controls else (),
         stationarity.transfer_records(args.seeds, args.seed) if args.transfer else (),
         stationarity.escape_records(args.seed) if args.expect_escape else (),
     ))
-    _write_jsonl(out / "reports.jsonl", reports)
+    _write_jsonl(_out_dir(args) / "reports.jsonl", reports)
     checks = [r for r in reports if not r.get("control")]
     if not checks:
         raise RuntimeError("no checks ran")
@@ -488,6 +488,9 @@ def main(argv: list[str] | None = None) -> int:
             _load_config_defaults(parser, args.config, args.command)
             args = parser.parse_args(argv)
             args.config = None  # config.json echoes the values the file set, not its path
+        # numpy takes only seeds >= 0; bench mixes any --seed into its cell seeds
+        if args.command != "bench" and (getattr(args, "seed", None) or 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         target_cols = getattr(args, "target_cols", None)
         if isinstance(target_cols, str) and not target_cols.startswith("last-"):
             args.target_cols = _parse_list("--target-cols", target_cols, int)

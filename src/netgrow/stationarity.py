@@ -9,14 +9,15 @@ check family; each yields the plain records it writes to ``reports.jsonl``.
 
 The transfer checks need stationary points of one small net from many start
 seeds, and on a net that small numpy's fixed cost per call, not arithmetic,
-sets the price of an evaluation. :func:`_stationary_points` therefore runs
-up to ``SEARCHES_IN_FLIGHT`` searches in lockstep, each a resumable L-BFGS
-(:func:`~netgrow.optimizer.lbfgs_search`), and evaluates each round's points
-in one stacked call (:func:`~netgrow.autodiff.stacked_risk_objective`). It
-launches the next seed only while the converged searches plus those in
-flight are fewer than it wants, so it runs exactly the seeds a loop over
-:func:`find_stationary_point` runs, each to the same bits, and discards
-none. :func:`escape_rate` evaluates all its grown nets in one stacked call.
+sets the price of an evaluation. :func:`_stationary_points`, the one search
+loop, therefore runs up to ``SEARCHES_IN_FLIGHT`` searches in lockstep,
+each a resumable L-BFGS (:func:`~netgrow.optimizer.lbfgs_search`), and
+evaluates each round's points in one stacked call
+(:func:`~netgrow.autodiff.stacked_risk_objective`). It launches the next seed
+only while the converged searches plus those in flight are fewer than it
+wants, so it runs exactly the seeds a one-by-one loop runs, each to the same
+bits, and discards none. :func:`find_stationary_point` is its one-seed case,
+and :func:`escape_rate` evaluates all its grown nets in one stacked call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .autodiff import grad_norm_inf, risk_and_gradient, risk_objective, stacked_risk_objective
+from .autodiff import grad_norm_inf, risk_and_gradient, stacked_risk_objective
 from .data import Dataset, make_synthetic, standardize
 from .growth import (
     ConstantGrowth,
@@ -41,7 +42,7 @@ from .growth import (
     random_growth,
 )
 from .net_core import ParamVector, Topology, _block_views, param_count
-from .optimizer import LbfgsConfig, OptimResult, lbfgs_minimize, lbfgs_search
+from .optimizer import LbfgsConfig, OptimResult, lbfgs_search
 
 __all__ = [
     "StationarityReport",
@@ -135,16 +136,12 @@ def find_stationary_point(
     The search counts as diverged, and is given up, once an iterate's largest
     parameter magnitude exceeds ``DIVERGENCE_BOUND``. Raises
     :class:`NonConvergenceError` when the search diverges, hits ``max_iter``
-    or fails a line search; its ``outcome`` names which.
+    or fails a line search; its ``outcome`` names which. This is the search
+    loop :func:`_stationary_points` run on the one seed.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    result = lbfgs_minimize(
-        risk_objective(topology, data),
-        _search_start(topology, seed),
-        LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter),
-        stop_hook=_diverged,
-    )
+    [(_, result)] = _stationary_points(topology, data, [seed], 1, tol=tol, max_iter=max_iter)
     return _stationary(topology, result, tol)
 
 
@@ -171,41 +168,38 @@ def _stationary(topology: Topology, result: OptimResult, tol: float) -> ParamVec
     return ParamVector(topology, result.theta)
 
 
-def _stationary_points(topology: Topology, data, seeds: range, wanted: int, *,
-                       tol: float, max_iter: int) -> list[tuple[int, ParamVector]]:
-    """``(seed, theta)`` of the first ``wanted`` start seeds whose searches converge, in seed order.
+def _stationary_points(topology: Topology, data, seeds: Sequence[int], wanted: int, *,
+                       tol: float, max_iter: int) -> list[tuple[int, OptimResult]]:
+    """``(seed, result)`` of each search run to find ``wanted`` stationary points, in seed order.
 
-    Each search is :func:`find_stationary_point`'s, as a resumable
-    :func:`~netgrow.optimizer.lbfgs_search`. Up to ``SEARCHES_IN_FLIGHT`` of
-    them advance in lockstep, and each round evaluates their points in one
-    stacked call. The next seed is launched only while the converged searches
-    plus those in flight fall short of ``wanted``, so exactly the seeds a loop
-    over :func:`find_stationary_point` would try run, and none is thrown away.
+    Seeds are tried in order until ``wanted`` searches end with a gradient norm
+    of at most ``tol``. Up to ``SEARCHES_IN_FLIGHT`` resumable searches advance
+    in lockstep, with one stacked evaluation per round, and a seed is launched
+    only while the converged searches plus those in flight fall short of
+    ``wanted``: exactly the seeds of a one-by-one loop run, and none is wasted.
     """
-    objective = stacked_risk_objective(topology, data, SEARCHES_IN_FLIGHT)
+    objective = stacked_risk_objective(topology, data, min(SEARCHES_IN_FLIGHT, wanted))
     cfg = LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter)
     pending = iter(seeds)
     flight: dict[int, list] = {}  # seed -> [search, the point it waits on]
-    points = []
+    results, converged = [], 0
     while True:
-        while len(flight) < SEARCHES_IN_FLIGHT and len(points) + len(flight) < wanted:
+        while len(flight) < SEARCHES_IN_FLIGHT and converged + len(flight) < wanted:
             seed = next(pending, None)
             if seed is None:
                 break
             search = lbfgs_search(_search_start(topology, seed), cfg, _diverged)
             flight[seed] = [search, next(search)]
         if not flight:
-            return sorted(points, key=lambda point: point[0])
+            return sorted(results, key=lambda searched: searched[0])
         risks, grads = objective(np.stack([point for _, point in flight.values()]))
         for k, (seed, entry) in enumerate(list(flight.items())):
             try:
                 entry[1] = entry[0].send((risks[k], grads[k]))
             except StopIteration as done:
                 del flight[seed]
-                try:
-                    points.append((seed, _stationary(topology, done.value, tol)))
-                except NonConvergenceError:
-                    pass
+                results.append((seed, done.value))
+                converged += done.value.grad_norm_final <= tol
 
 
 def verify_loss_invariance(
@@ -429,9 +423,12 @@ def transfer_records(seeds: int, seed: int) -> Iterator[dict]:
     """Constant and split transfer checks at ``seeds`` stationary points of a (2,2,1) net."""
     fixture = _teacher_fixture(0.1, 5)
     starts = range(seed + 1, seed + 1 + seeds * 4)
-    points = _stationary_points(Topology((2, 2, 1)), fixture, starts, seeds, tol=1e-8,
-                                max_iter=3000)
-    for start, theta in points:
+    topology = Topology((2, 2, 1))
+    for start, result in _stationary_points(topology, fixture, starts, seeds, tol=1e-8,
+                                            max_iter=3000):
+        if result.grad_norm_final > 1e-8:
+            continue  # a start that did not converge
+        theta = ParamVector(topology, result.theta)
         rng = np.random.default_rng(start + 500)
         for kind in ("constant", "split"):
             spec = transfer_safe_spec(kind, theta.topology, 1, 2, rng)

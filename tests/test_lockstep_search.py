@@ -1,23 +1,28 @@
 """Stationary-point searches run in lockstep exactly as they run one by one.
 
-``transfer_records`` finds its points with ``stationarity._stationary_points``,
-which advances many resumable L-BFGS searches together and evaluates each
-round's points in one stacked call. On the certify panel's fixture it must
-run the seeds a loop over ``find_stationary_point`` runs, reach the same
+``transfer_records`` and ``find_stationary_point`` find their points with
+``stationarity._stationary_points``, which advances many resumable L-BFGS
+searches together and evaluates each round's points in one stacked call. On
+the certify panel's fixture it must run the seeds that a loop of per-call
+searches (``lbfgs_minimize`` on ``risk_objective``) runs, reach the same
 points to the bit with the same evaluations per search, and never have more
-than ``SEARCHES_IN_FLIGHT`` searches in flight.
+than ``SEARCHES_IN_FLIGHT`` searches in flight. Run on one seed, it must
+succeed and fail as the per-call search does.
 """
 
 import numpy as np
 import pytest
 
 from netgrow import (
+    LbfgsConfig,
     NonConvergenceError,
     NumericalError,
+    ParamVector,
     Topology,
     escape_rate,
     find_stationary_point,
     risk_and_gradient,
+    risk_objective,
     stationarity,
 )
 from netgrow.autodiff import grad_norm_inf
@@ -29,26 +34,18 @@ WANTED = 10  # verify's default --seeds
 SEARCHES = {0: 13, 200: 14}  # searches each panel seed runs for its ten points
 
 
-def searches_one_by_one(fixture, starts, monkeypatch):
-    """The points of a find_stationary_point loop, and (start, evaluations, theta) per search."""
-    runs = []
-
-    def recording(objective, x0, cfg, stop_hook):
-        result = lbfgs_minimize(objective, x0, cfg, stop_hook)
-        runs.append((x0.tobytes(), result.evaluations, result.theta.tobytes()))
-        return result
-
-    monkeypatch.setattr(stationarity, "lbfgs_minimize", recording)
-    points = []
+def searches_one_by_one(fixture, starts):
+    """The points of a loop of per-call searches, and (start, evaluations, theta) per search."""
+    cfg = LbfgsConfig(grad_tol_inf=1e-8, max_iter=3000)
+    points, runs = [], []
     for seed in starts:
-        try:
-            points.append((seed, find_stationary_point(TOPOLOGY, fixture, tol=1e-8, max_iter=3000,
-                                                       seed=seed)))
-        except NonConvergenceError:
-            continue
+        x0 = stationarity._search_start(TOPOLOGY, seed)
+        result = lbfgs_minimize(risk_objective(TOPOLOGY, fixture), x0, cfg, stationarity._diverged)
+        runs.append((x0.tobytes(), result.evaluations, result.theta.tobytes()))
+        if result.grad_norm_final <= 1e-8:
+            points.append((seed, ParamVector(TOPOLOGY, result.theta)))
         if len(points) == WANTED:
             break
-    monkeypatch.undo()
     return points, runs
 
 
@@ -74,9 +71,11 @@ def searches_in_lockstep(fixture, starts, monkeypatch):
 
     monkeypatch.setattr(stationarity, "lbfgs_search", recording_search)
     monkeypatch.setattr(stationarity, "stacked_risk_objective", recording_objective)
-    points = stationarity._stationary_points(TOPOLOGY, fixture, starts, WANTED, tol=1e-8,
-                                             max_iter=3000)
+    searches = stationarity._stationary_points(TOPOLOGY, fixture, starts, WANTED, tol=1e-8,
+                                               max_iter=3000)
     monkeypatch.undo()
+    points = [(seed, ParamVector(TOPOLOGY, result.theta))
+              for seed, result in searches if result.grad_norm_final <= 1e-8]
     return points, runs, rounds
 
 
@@ -89,7 +88,7 @@ def fixture():
 @pytest.mark.parametrize("panel_seed", sorted(SEARCHES))
 def test_lockstep_runs_the_searches_of_the_loop_to_the_bit(fixture, monkeypatch, panel_seed, cap):
     starts = range(panel_seed + 1, panel_seed + 1 + WANTED * 4)  # as transfer_records
-    expected, expected_runs = searches_one_by_one(fixture, starts, monkeypatch)
+    expected, expected_runs = searches_one_by_one(fixture, starts)
     monkeypatch.setattr(stationarity, "SEARCHES_IN_FLIGHT", cap)
     points, runs, rounds = searches_in_lockstep(fixture, starts, monkeypatch)
 
@@ -124,3 +123,43 @@ def test_escape_rate_counts_what_single_calls_count(seed):
         hits += grad_norm_inf(grad) > 1e-3
     rate = escape_rate(theta, data, layer=1, count=2, draws=50, threshold=1e-3, seed=seed)
     assert rate == hits / 50
+
+
+def per_call_search(fixture, seed, max_iter):
+    """``find_stationary_point`` as one search on a per-call objective: ``lbfgs_minimize``."""
+    result = lbfgs_minimize(risk_objective(TOPOLOGY, fixture),
+                            stationarity._search_start(TOPOLOGY, seed),
+                            LbfgsConfig(grad_tol_inf=1e-8, max_iter=max_iter),
+                            stationarity._diverged)
+    return stationarity._stationary(TOPOLOGY, result, 1e-8)
+
+
+def test_one_seed_reaches_the_bits_of_a_per_call_search(fixture):
+    want = per_call_search(fixture, 6, 3000)  # a start that travels to |θ| 114 and converges
+    got = find_stationary_point(TOPOLOGY, fixture, tol=1e-8, max_iter=3000, seed=6)
+    assert got.flat.tobytes() == want.flat.tobytes()
+
+
+@pytest.mark.parametrize("seed, max_iter, outcome", [(106, 3000, "diverged"), (6, 20, "max_iter")])
+def test_one_seed_fails_as_a_per_call_search_fails(fixture, seed, max_iter, outcome):
+    with pytest.raises(NonConvergenceError) as want:
+        per_call_search(fixture, seed, max_iter)
+    with pytest.raises(NonConvergenceError) as got:
+        find_stationary_point(TOPOLOGY, fixture, tol=1e-8, max_iter=max_iter, seed=seed)
+    assert want.value.outcome == outcome
+    for name in ("outcome", "iterations", "evaluations", "best_norm"):
+        assert getattr(got.value, name) == getattr(want.value, name), name
+    assert str(got.value) == str(want.value)
+
+
+def test_a_one_seed_search_stacks_one_network(fixture, monkeypatch):
+    capacities = []
+    stacked = stationarity.stacked_risk_objective
+
+    def recording_objective(topology, data, capacity):
+        capacities.append(capacity)
+        return stacked(topology, data, capacity)
+
+    monkeypatch.setattr(stationarity, "stacked_risk_objective", recording_objective)
+    find_stationary_point(TOPOLOGY, fixture, tol=1e-8, max_iter=3000, seed=6)
+    assert capacities == [1]
