@@ -31,7 +31,9 @@ fixed cost per call, not arithmetic, sets the price of an evaluation.
 :func:`stacked_risk_objective` evaluates ``K`` networks of one topology in
 one pass: it takes a ``(K, n)`` array of flat vectors and runs the same
 ufuncs with a leading batch axis (``np.matmul`` broadcasts over it), into a
-stacked workspace allocated once and sliced to ``K`` on each call. Both
+stacked workspace that each call allocates for its own ``K``: on those
+nets even a 50-network stack is a few tens of KB, well below the mmap
+threshold, so its buffers come back from the heap without page faults. Both
 paths share one backward sweep, ``_sweep``, and numpy applies the same
 inner loop to each batch entry as to a single ``(P, H)`` array, so every
 member gets the bits of its own :func:`risk_and_gradient` call. The one
@@ -142,19 +144,16 @@ def risk_objective(
 def stacked_risk_objective(
     topology: Topology,
     data,
-    capacity: int,
 ):
-    """Risks and gradients of up to ``capacity`` networks of one topology per call.
+    """Risks and gradients of any number of networks of one topology per call.
 
-    The objective maps a ``(K, n)`` array of flat parameter vectors, ``K <=
-    capacity``, to ``K`` risks and a new ``(K, n)`` array of their gradients;
-    row ``k`` has the bits :func:`risk_and_gradient` gives for row ``k`` of
-    the input. The data are checked once, here, and the stacked workspace is
-    allocated once and sliced to ``K`` on each call, so the objective serves
-    one call at a time.
+    The objective maps a ``(K, n)`` array of flat parameter vectors, ``K >=
+    1``, to ``K`` risks and a new ``(K, n)`` array of their gradients; row
+    ``k`` has the bits :func:`risk_and_gradient` gives for row ``k`` of the
+    input. The data are checked once, here, and each call allocates a
+    stacked workspace of its own ``K`` networks.
     """
     inputs, targets = _checked_data(topology, data)
-    work = Workspace(topology, inputs.shape[0], capacity)
     n_params = topology.n_params
     # Each layer's columns in a (K, n) stack and its block's shape, read off
     # the flat layout's block views of the entry indices.
@@ -168,13 +167,11 @@ def stacked_risk_objective(
     def objective(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         thetas = np.asarray(thetas, dtype=np.float64)
         k = thetas.shape[0]
-        if thetas.shape != (k, n_params) or not 1 <= k <= capacity:
-            raise ValueError(f"expected (K, {n_params}) parameters with 1 <= K <= {capacity}, "
-                             f"got {thetas.shape}")
+        if thetas.shape != (k, n_params) or k < 1:
+            raise ValueError(f"expected (K, {n_params}) parameters with K >= 1, got {thetas.shape}")
         # biases as (K, 1, H), so that they broadcast over the samples
         layers = [(block[:, None, :, 0], block[..., 1:]) for block in blocks(thetas)]
-        risks, partials = _sweep(layers, inputs, targets,
-                                 _forward(topology, layers, inputs, work.head(k)))
+        risks, partials = _sweep(layers, inputs, targets, _forward(topology, layers, inputs))
         grads = np.empty((k, n_params))
         for (grad_b, grad_w), block in zip(partials, blocks(grads)):
             block[..., 0] = grad_b

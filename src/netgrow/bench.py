@@ -246,6 +246,8 @@ def performance_profile(ratios, alphas) -> ProfileCurve:
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.size == 0 or not (np.all(alphas >= 1.0) and np.all(np.diff(alphas) > 0)):
         raise ValueError("alphas must be increasing and >= 1")
+    if not np.all(np.isfinite(alphas)):  # at alpha = inf a failed cell's inf ratio would count
+        raise ValueError(f"alphas must be finite, got {alphas.tolist()}")
     n_problems, n_solvers = matrix.shape
     rho = np.empty((n_solvers, alphas.size))
     for s in range(n_solvers):

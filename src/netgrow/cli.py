@@ -251,8 +251,11 @@ def cmd_verify(args) -> int:
     else:
         if args.topologies is None:  # resolved here, so config.json echoes what ran
             args.topologies = _DEFAULT_VERIFY_TOPOLOGIES
-        topologies = [Topology(tuple(_parse_list("--topologies", text, int)))
-                      for text in args.topologies.split(";")]
+        try:
+            topologies = [Topology(tuple(_parse_list("--topologies", text, int)))
+                          for text in args.topologies.split(";")]
+        except ValueError as exc:  # an empty or non-positive layer list
+            raise UsageError(f"--topologies {args.topologies!r}: {exc}") from None
         if any(topology.depth < 2 for topology in topologies):
             raise UsageError(f"verify topologies need a hidden layer, got {args.topologies!r}")
         records = stationarity.risk_records(topologies, kinds, args.seeds, args.seed)

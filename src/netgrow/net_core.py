@@ -180,25 +180,17 @@ class Workspace:
     overwrites them, so a workspace serves one evaluation at a time and nothing
     that outlives the evaluation may be a view of it.
 
-    With ``members``, each buffer is a ``(members, P, H)`` stack, one ``(P, H)``
-    array per network of a stacked evaluation; :meth:`head` gives the first
-    ``K`` of them.
+    With ``lead``, the leading axes of a stacked evaluation's layers (``(K,)``
+    for ``K`` networks), each buffer is a ``(K, P, H)`` stack, one ``(P, H)``
+    array per network.
     """
 
     __slots__ = ("pre", "act")
 
-    def __init__(self, topology: Topology, n_samples: int, members: int | None = None) -> None:
-        lead = () if members is None else (members,)
+    def __init__(self, topology: Topology, n_samples: int, lead: tuple[int, ...] = ()) -> None:
         sizes = topology.layer_sizes[1:]
         self.pre = [np.empty((*lead, n_samples, h)) for h in sizes]
         self.act = [np.empty((*lead, n_samples, h)) for h in sizes[:-1]]
-
-    def head(self, k: int) -> "Workspace":
-        """The first ``k`` members of a stacked workspace, as views of its buffers."""
-        view = Workspace.__new__(Workspace)
-        view.pre = [buffer[:k] for buffer in self.pre]
-        view.act = [buffer[:k] for buffer in self.act]
-        return view
 
 
 def _forward(
@@ -212,14 +204,15 @@ def _forward(
 
     Each layer is a ``(biases, weights)`` pair. Stacked weights ``(K, H,
     H_prev)`` with biases ``(K, 1, H)`` run the same ufuncs on a stacked
-    workspace: a leading batch axis, one ``(P, H)`` slice per network.
+    workspace: a leading batch axis, one ``(P, H)`` slice per network. A new
+    workspace takes the weights' leading axes, so it holds exactly ``K``.
     """
     x = np.asarray(inputs, dtype=np.float64)
     n_inputs = topology.n_inputs
     if x.ndim != 2 or x.shape[1] != n_inputs:
         raise ValueError(f"inputs must have shape (P, {n_inputs}), got {x.shape}")
     if work is None:
-        work = Workspace(topology, x.shape[0])
+        work = Workspace(topology, x.shape[0], layers[0][1].shape[:-2])
     z = x
     for layer, (b, w) in enumerate(layers):
         a = np.matmul(z, w.swapaxes(-1, -2), work.pre[layer])

@@ -178,7 +178,7 @@ def _stationary_points(topology: Topology, data, seeds: Sequence[int], wanted: i
     only while the converged searches plus those in flight fall short of
     ``wanted``: exactly the seeds of a one-by-one loop run, and none is wasted.
     """
-    objective = stacked_risk_objective(topology, data, min(SEARCHES_IN_FLIGHT, wanted))
+    objective = stacked_risk_objective(topology, data)
     cfg = LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter)
     pending = iter(seeds)
     flight: dict[int, list] = {}  # seed -> [search, the point it waits on]
@@ -323,8 +323,7 @@ def escape_rate(
     grown = [apply_growth(theta, random_growth("inert", theta.topology, layer, count, rng))
              for _ in range(draws)]
     # one stacked evaluation of all draws, each with the bits of its own call
-    _, grads = stacked_risk_objective(grown[0].topology, data, draws)(
-        np.stack([g.flat for g in grown]))
+    _, grads = stacked_risk_objective(grown[0].topology, data)(np.stack([g.flat for g in grown]))
     hits = sum(grad_norm_inf(grad) > threshold for grad in grads)
     return hits / draws
 

@@ -101,6 +101,16 @@ def test_profile_rejects_bad_alphas_and_empty():
         performance_profile(np.zeros((0, 2)), [1.0])
 
 
+def test_profile_refuses_an_infinite_alpha():
+    ratios = np.array([[1.0, np.inf]])  # s1 failed its one problem, so it is within no alpha
+    with pytest.raises(ValueError, match=r"alphas must be finite, got \[1.0, inf\]"):
+        performance_profile(ratios, [1.0, np.inf])
+    # a grid that fails the order or the lower bound keeps that message
+    for alphas in ([np.inf, 1.0], [0.5, np.inf]):
+        with pytest.raises(ValueError, match="alphas must be increasing and >= 1"):
+            performance_profile(ratios, alphas)
+
+
 def test_summary_stats_five_numbers():
     stats = summary_stats([1.0, 2.0, 3.0, 4.0, 5.0])
     assert stats == {"min": 1.0, "q1": 2.0, "median": 3.0, "q3": 4.0, "max": 5.0}

@@ -90,7 +90,9 @@ def test_profile_alphas_grid_ends_at_the_given_end(tmp_path, alphas, grid):
     ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n", "2.0,1.5", "alphas must be increasing"),
     ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n", ",", "--alphas is empty: ',' holds no number"),
     ("p0\ta\t0\t10\tinf\np0\tb\t0\t10\tinf\n", "2.0", "all solvers failed"),
-], ids=["decreasing", "empty", "all-failed"])
+    # at alpha = inf the failed cell of solver b would count as within alpha
+    ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\tinf\n", "1,inf", "alphas must be finite"),
+], ids=["decreasing", "empty", "all-failed", "infinite"])
 def test_profile_errors_leave_no_output_directory(tmp_path, capsys, rows, alphas, message):
     table = tmp_path / "t.tsv"
     table.write_text("problem\tsolver\treplica\tbudget\tfinal_risk\n" + rows)

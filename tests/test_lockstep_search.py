@@ -49,6 +49,22 @@ def searches_one_by_one(fixture, starts):
     return points, runs
 
 
+def record_stacks(monkeypatch, stacks):
+    """Make each stacked call that ``stationarity`` makes append its K to ``stacks``."""
+    stacked = stationarity.stacked_risk_objective
+
+    def recording_objective(topology, data):
+        objective = stacked(topology, data)
+
+        def counted(thetas):
+            stacks.append(len(thetas))
+            return objective(thetas)
+
+        return counted
+
+    monkeypatch.setattr(stationarity, "stacked_risk_objective", recording_objective)
+
+
 def searches_in_lockstep(fixture, starts, monkeypatch):
     """The lockstep driver's points, (start, evaluations, theta) per search and K per round."""
     runs, rounds = [], []
@@ -58,19 +74,8 @@ def searches_in_lockstep(fixture, starts, monkeypatch):
         runs.append((x0.tobytes(), result.evaluations, result.theta.tobytes()))
         return result
 
-    stacked = stationarity.stacked_risk_objective
-
-    def recording_objective(topology, data, capacity):
-        objective = stacked(topology, data, capacity)
-
-        def counted(thetas):
-            rounds.append(len(thetas))
-            return objective(thetas)
-
-        return counted
-
     monkeypatch.setattr(stationarity, "lbfgs_search", recording_search)
-    monkeypatch.setattr(stationarity, "stacked_risk_objective", recording_objective)
+    record_stacks(monkeypatch, rounds)
     searches = stationarity._stationary_points(TOPOLOGY, fixture, starts, WANTED, tol=1e-8,
                                                max_iter=3000)
     monkeypatch.undo()
@@ -153,13 +158,7 @@ def test_one_seed_fails_as_a_per_call_search_fails(fixture, seed, max_iter, outc
 
 
 def test_a_one_seed_search_stacks_one_network(fixture, monkeypatch):
-    capacities = []
-    stacked = stationarity.stacked_risk_objective
-
-    def recording_objective(topology, data, capacity):
-        capacities.append(capacity)
-        return stacked(topology, data, capacity)
-
-    monkeypatch.setattr(stationarity, "stacked_risk_objective", recording_objective)
+    stacks = []
+    record_stacks(monkeypatch, stacks)
     find_stationary_point(TOPOLOGY, fixture, tol=1e-8, max_iter=3000, seed=6)
-    assert capacities == [1]
+    assert stacks and set(stacks) == {1}

@@ -8,6 +8,7 @@ topologies it resolved, the defaults included.
 import json
 
 import numpy as np
+import pytest
 
 from netgrow import ParamVector, Topology, param_count
 from netgrow.cli import main
@@ -31,3 +32,13 @@ def test_a_random_run_echoes_the_default_topologies(tmp_path):
     assert main(["verify", "--maps", "inert", "--seeds", "1", "--out", str(out)]) == 0
     assert json.loads((out / "config.json").read_text())["topologies"] == "2,3,1;2,2,2,1;3,4,2"
     assert (out / "reports.jsonl").read_text().count("\n") == 3  # one per topology
+
+
+@pytest.mark.parametrize("topologies", ["2,3,1;", ";", "2,0,1"])
+def test_a_topology_the_network_refuses_exits_2_naming_the_flag(tmp_path, capsys, topologies):
+    out = tmp_path / "v"
+    code = main(["verify", "--maps", "inert", "--seeds", "1", "--topologies", topologies,
+                 "--out", str(out)])
+    assert code == 2
+    assert f"--topologies {topologies!r}" in capsys.readouterr().err
+    assert not out.exists()
