@@ -72,6 +72,8 @@ class StandardSolver:
             raise ValueError(f"standard width must be >= 1, got {self.width}")
         if not self.tol > 0.0:
             raise ValueError(f"standard tol must be positive, got {self.tol}")
+        if self.tol == np.inf:
+            raise ValueError(f"standard tol must be finite, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -358,6 +358,10 @@ def cmd_profile(args) -> int:
         # An end above 1 gets at least one step, so the grid ends where it was asked to.
         steps = max(round((stop - 1.0) / 0.05), 1) if stop > 1.0 else 0
         alphas = np.linspace(1.0, stop, steps + 1)
+    try:  # the library's alpha checks, run before any table is read
+        performance_profile(np.ones((1, 1)), alphas)
+    except ValueError as exc:
+        raise UsageError(f"--alphas {args.alphas!r}: {exc}") from None
     tables = [(Path(table_path), load_results_tsv(table_path)) for table_path in args.table]
     stems: dict[str, Path] = {}
     for path, _ in tables:

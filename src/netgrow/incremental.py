@@ -74,10 +74,9 @@ class ItaConfig:
                 f"need 1 <= initial_width <= max_width, got "
                 f"{self.initial_width}/{self.max_width}"
             )
-        if not self.intermediate_loss_delta > 0.0:
-            raise ValueError("intermediate_loss_delta must be positive")
-        if not self.final_grad_tol > 0.0:
-            raise ValueError("final_grad_tol must be positive")
+        for name in ("intermediate_loss_delta", "final_grad_tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.maxit_per_stage < 0:
             raise ValueError("maxit_per_stage must be >= 0")
         if self.total_epoch_budget is not None and self.total_epoch_budget < 0:

@@ -36,8 +36,11 @@ __all__ = [
 ]
 
 
+LINE_SEARCH_BUDGET = 25  # objective evaluations one line search may spend
+
+
 class LineSearchError(RuntimeError):
-    """No step satisfying the Wolfe conditions within the step budget."""
+    """No step satisfying the Wolfe conditions within ``LINE_SEARCH_BUDGET`` evaluations."""
 
 
 class NumericalError(RuntimeError):
@@ -51,7 +54,6 @@ class LbfgsConfig:
     grad_tol_inf: float = 1e-6
     wolfe_c1: float = 1e-4
     wolfe_c2: float = 0.9
-    max_line_search_steps: int = 25
 
     def __post_init__(self) -> None:
         if self.memory < 1:
@@ -62,8 +64,6 @@ class LbfgsConfig:
             )
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.max_line_search_steps < 1:
-            raise ValueError("max_line_search_steps must be >= 1")
 
 
 @dataclass
@@ -118,7 +118,6 @@ def _wolfe_search(
     if slope0 >= 0.0:
         raise ValueError(f"not a descent direction (slope {slope0})")
     c1, c2 = cfg.wolfe_c1, cfg.wolfe_c2
-    budget = cfg.max_line_search_steps
     evals = 0
     # Near the minimum the objective decrease drops below float resolution
     # while slopes still resolve; tolerate value noise at that scale so the
@@ -127,7 +126,7 @@ def _wolfe_search(
 
     def zoom(lo: float, f_lo: float, d_lo: float, hi: float, f_hi: float, d_hi: float):
         nonlocal evals
-        while evals < budget:
+        while evals < LINE_SEARCH_BUDGET:
             t = _cubic_step(lo, f_lo, d_lo, hi, f_hi, d_hi)
             span = abs(hi - lo)
             limit_lo = min(lo, hi) + 0.1 * span
@@ -150,7 +149,7 @@ def _wolfe_search(
 
     t_prev, f_prev, d_prev = 0.0, f0, slope0
     t = initial_step
-    while evals < budget:
+    while evals < LINE_SEARCH_BUDGET:
         ft, dt = yield t
         evals += 1
         if ft > f0 + c1 * t * slope0 + noise or (evals > 1 and ft >= f_prev + noise):
@@ -176,30 +175,26 @@ def line_search_strong_wolfe(
     ``phi(t)`` returns the objective value and directional derivative at step
     ``t``; ``f0`` and ``slope0`` are their values at ``t = 0``. Raises
     ``ValueError`` if the direction is not a descent direction and
-    :class:`LineSearchError` after ``cfg.max_line_search_steps`` evaluations.
+    :class:`LineSearchError` after ``LINE_SEARCH_BUDGET`` (25) evaluations.
     The step returned is the last one ``phi`` was called at.
     """
     return _drive(_wolfe_search(f0, slope0, cfg, initial_step), phi)
 
 
-def _two_loop(
-    grad: np.ndarray,
-    s_list: deque,
-    y_list: deque,
-    rho_list: deque,
-) -> np.ndarray:
+def _two_loop(grad: np.ndarray, memory: deque) -> np.ndarray:
+    """The inverse-Hessian estimate times ``grad``; ``memory`` holds ``(s, y, 1 / s.y)``, oldest first."""
     q = grad.copy()
     # One scratch vector takes every product, so no update allocates.
     tmp = np.empty_like(q)
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(memory):
         a = rho * float(s.dot(q))
         q -= np.multiply(a, y, out=tmp)
         alphas.append(a)
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
+    if memory:
+        s, y, _ = memory[-1]
         q *= float(s.dot(y)) / float(y.dot(y))
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
         b = rho * float(y.dot(q))
         q += np.multiply(a - b, s, out=tmp)
     return q
@@ -260,9 +255,7 @@ def lbfgs_search(
     f_history = [f]
     g_history = [g_inf]
 
-    s_mem: deque = deque(maxlen=cfg.memory)
-    y_mem: deque = deque(maxlen=cfg.memory)
-    rho_mem: deque = deque(maxlen=cfg.memory)
+    memory: deque = deque(maxlen=cfg.memory)
 
     iterations = 0
     termination = "max_iter"
@@ -277,15 +270,15 @@ def lbfgs_search(
             termination = "custom"
             break
 
-        d = -_two_loop(g, s_mem, y_mem, rho_mem)
+        d = -_two_loop(g, memory)
         slope = float(g @ d)
         if slope >= 0.0:
             # Memory has gone stale; restart from steepest descent.
-            s_mem.clear(); y_mem.clear(); rho_mem.clear()
+            memory.clear()
             d = -g
             slope = -float(g @ g)
 
-        first_step = 1.0 if s_mem else min(1.0, 1.0 / (1.0 + float(np.abs(g).sum())))
+        first_step = 1.0 if memory else min(1.0, 1.0 / (1.0 + float(np.abs(g).sum())))
         try:
             if objective is None:
                 steps = _wolfe_search(f, slope, cfg, first_step)
@@ -310,9 +303,7 @@ def lbfgs_search(
         sy = float(s @ y)
         # math.sqrt of the dot product is what np.linalg.norm computes for a vector.
         if sy > 1e-10 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
-            s_mem.append(s)
-            y_mem.append(y)
-            rho_mem.append(1.0 / sy)
+            memory.append((s, y, 1.0 / sy))
 
         x = x + s
         f, g = f_new, g_new

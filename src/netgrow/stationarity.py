@@ -139,8 +139,8 @@ def find_stationary_point(
     or fails a line search; its ``outcome`` names which. This is the search
     loop :func:`_stationary_points` run on the one seed.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     [(_, result)] = _stationary_points(topology, data, [seed], 1, tol=tol, max_iter=max_iter)
     return _stationary(topology, result, tol)
 

@@ -267,7 +267,8 @@ def test_failed_pair_lands_on_its_own_cells(monkeypatch, tmp_path):
     ({"width": 0}, "width must be >= 1, got 0"),
     ({"tol": 0.0}, "tol must be positive, got 0.0"),
     ({"tol": float("nan")}, "tol must be positive, got nan"),
-], ids=["zero-width", "zero-tol", "nan-tol"])
+    ({"tol": float("inf")}, "tol must be finite, got inf"),
+], ids=["zero-width", "zero-tol", "nan-tol", "inf-tol"])
 def test_standard_solver_checks_itself(kwargs, message):
     with pytest.raises(ValueError, match=message):
         StandardSolver(**kwargs)

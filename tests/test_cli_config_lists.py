@@ -90,6 +90,10 @@ BENCH_USAGE_ERRORS = {
     "zero-std-width": (["--problem", SYNTH_A, "--std-width", "0"], "width"),
     "zero-std-tol": (["--problem", SYNTH_A, "--std-tol", "0"], "tol"),
     "nan-ita-delta": (["--problem", SYNTH_A, "--ita-delta", "nan"], "intermediate_loss_delta"),
+    "inf-std-tol": (["--problem", SYNTH_A, "--std-tol", "inf"],
+                    "standard tol must be finite, got inf"),
+    "inf-ita-delta": (["--problem", SYNTH_A, "--ita-delta", "inf"],
+                      "intermediate_loss_delta must be positive and finite, got inf"),
 }
 
 
@@ -107,6 +111,7 @@ def test_bench_usage_errors_leave_no_output_directory(tmp_path, capsys, case):
     (["--maxit", "-1"], "maxit_per_stage"),
     (["--tol", "0"], "final_grad_tol"),
     (["--tol", "nan"], "final_grad_tol"),
+    (["--tol", "inf"], "final_grad_tol must be positive and finite, got inf"),
     (["--data", "synth:sinusoid:noise=-0.1,P=5"], "noise must be a finite number >= 0, got -0.1"),
     (["--data", "synth:sinusoid:m=0"], "m must be >= 1, got 0"),
     (["--data", "synth:sinusoid:n=-1"], "n must be >= 1, got -1"),
@@ -114,7 +119,7 @@ def test_bench_usage_errors_leave_no_output_directory(tmp_path, capsys, case):
     (["--data", "synth:sinusoid:n=1,n=3,m=1,P=16"], "synthetic option 'n' given twice"),
     (["--data", "synth:sinusoid:n=1,m=1,P=16,samples=40"],
      "synthetic options 'P' and 'samples' both given"),
-], ids=["zero-hidden", "negative-maxit", "zero-tol", "nan-tol", "synth-negative-noise",
+], ids=["zero-hidden", "negative-maxit", "zero-tol", "nan-tol", "inf-tol", "synth-negative-noise",
         "synth-zero-m", "synth-negative-n", "synth-zero-n", "synth-repeated-key",
         "synth-P-and-samples"])
 def test_train_usage_errors_leave_no_output_directory(tmp_path, capsys, flags, expected):

@@ -100,6 +100,16 @@ def test_ita_nan_final_tol_exits_2_before_creating_out(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ita_infinite_final_tol_exits_2_before_creating_out(tmp_path, capsys):
+    # an infinite bar would pass every stop and growth test unchecked
+    out = tmp_path / "o"
+    code = main(["ita", "--data", SYNTH, "--h0", "2", "--hmax", "4", "--final-tol", "inf",
+                 "--out", str(out)])
+    assert code == 2
+    assert "final_grad_tol must be positive and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ita_growth_escape_exits_1_and_leaves_no_out(tmp_path, capsys, monkeypatch):
     def escape(data, cfg):
         raise GrowthEscapeError("no growth draw escaped")

@@ -86,13 +86,21 @@ def test_profile_alphas_grid_ends_at_the_given_end(tmp_path, alphas, grid):
     assert [float(line.split("\t")[0]) for line in lines] == grid
 
 
+TWO_ROWS = "p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n"
+
+
 @pytest.mark.parametrize("rows, alphas, message", [
     ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n", "2.0,1.5", "alphas must be increasing"),
     ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\t2.0\n", ",", "--alphas is empty: ',' holds no number"),
     ("p0\ta\t0\t10\tinf\np0\tb\t0\t10\tinf\n", "2.0", "all solvers failed"),
     # at alpha = inf the failed cell of solver b would count as within alpha
     ("p0\ta\t0\t10\t1.0\np0\tb\t0\t10\tinf\n", "1,inf", "alphas must be finite"),
-], ids=["decreasing", "empty", "all-failed", "infinite"])
+    # the library's alpha errors name the flag and the value given
+    (TWO_ROWS, "2,1.5", "--alphas '2,1.5': alphas must be increasing and >= 1"),
+    (TWO_ROWS, "1,inf", "--alphas '1,inf': alphas must be finite, got [1.0, inf]"),
+    (TWO_ROWS, "1,nan", "--alphas '1,nan': alphas must be increasing and >= 1"),
+], ids=["decreasing", "empty", "all-failed", "infinite", "flag-decreasing", "flag-infinite",
+        "flag-nan"])
 def test_profile_errors_leave_no_output_directory(tmp_path, capsys, rows, alphas, message):
     table = tmp_path / "t.tsv"
     table.write_text("problem\tsolver\treplica\tbudget\tfinal_risk\n" + rows)
@@ -101,3 +109,16 @@ def test_profile_errors_leave_no_output_directory(tmp_path, capsys, rows, alphas
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
+
+
+def test_profile_reports_the_zero_risk_clamp(tmp_path, capsys):
+    table = tmp_path / "t.tsv"
+    table.write_text("problem\tsolver\treplica\tbudget\tfinal_risk\n"
+                     "p0\ta\t0\t10\t0.0\np0\tb\t0\t10\t2.0\n")
+    code = main(["profile", "--table", str(table), "--alphas", "1,2",
+                 "--out", str(tmp_path / "p")])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "t.tsv: zero-risk clamp applied on rows [0]", "wrote profile_t.tsv"]
+    lines = (tmp_path / "p" / "profile_t.tsv").read_text().splitlines()
+    assert lines == ["alpha\trho_a\trho_b", "1.0\t1.0\t0.0", "2.0\t1.0\t0.0"]

@@ -30,6 +30,13 @@ def test_config_validation():
         ItaConfig(initial_hidden_widths=(4, 4))  # multilayer needs the flag
 
 
+@pytest.mark.parametrize("field", ["final_grad_tol", "intermediate_loss_delta"])
+def test_config_refuses_an_infinite_bar(field):
+    # a stop test against an infinite bar would pass without checking anything
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite, got inf"):
+        ItaConfig(**{field: float("inf")})
+
+
 def test_doubling_width_schedule(problem):
     cfg = ItaConfig(initial_width=10, max_width=100, seed=3, maxit_per_stage=3)
     run = ita_train(problem, cfg)

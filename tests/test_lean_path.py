@@ -101,17 +101,19 @@ def test_from_layer_arrays_equals_the_hstack_pack(hidden_layers):
 def test_two_loop_equals_the_deque_reference(n):
     rng = np.random.default_rng(n)
     for memory in (1, 3, 10):
+        pairs = deque(maxlen=memory)
         s_mem, y_mem, rho_mem = deque(maxlen=memory), deque(maxlen=memory), deque(maxlen=memory)
         grad = rng.standard_normal(n)
-        assert np.array_equal(_two_loop(grad, s_mem, y_mem, rho_mem), grad)
+        assert np.array_equal(_two_loop(grad, pairs), grad)
         for _ in range(3 * memory):
             s = rng.standard_normal(n) * rng.uniform(0.01, 10.0)
             y = s * rng.uniform(0.1, 2.0) + rng.standard_normal(n) * 0.1
+            pairs.append((s, y, 1.0 / float(s @ y)))
             s_mem.append(s)
             y_mem.append(y)
             rho_mem.append(1.0 / float(s @ y))
             grad = rng.standard_normal(n)
-            assert np.array_equal(_two_loop(grad, s_mem, y_mem, rho_mem),
+            assert np.array_equal(_two_loop(grad, pairs),
                                   reference_two_loop(grad, s_mem, y_mem, rho_mem))
 
 

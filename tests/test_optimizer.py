@@ -8,6 +8,7 @@ from netgrow import (
     lbfgs_minimize,
     line_search_strong_wolfe,
 )
+from netgrow import optimizer
 from netgrow.optimizer import lbfgs_search
 
 
@@ -90,6 +91,30 @@ def test_deterministic_given_same_inputs():
     assert np.array_equal(a.theta, b.theta)
 
 
+def test_a_non_descent_direction_restarts_with_no_memory(monkeypatch):
+    # Turn the fourth direction uphill: the search must drop its memory and
+    # start that line search from the no-memory step, then still converge.
+    two_loop, line_search = optimizer._two_loop, optimizer.line_search_strong_wolfe
+    seen, first_steps = [], []
+
+    def uphill_once(grad, memory):
+        seen.append((grad.copy(), len(memory)))
+        return -grad if len(seen) == 4 else two_loop(grad, memory)
+
+    def recorded(phi, f0, slope0, cfg, initial_step=1.0):
+        first_steps.append(initial_step)
+        return line_search(phi, f0, slope0, cfg, initial_step)
+
+    monkeypatch.setattr(optimizer, "_two_loop", uphill_once)
+    monkeypatch.setattr(optimizer, "line_search_strong_wolfe", recorded)
+    res = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(grad_tol_inf=1e-9))
+    grad, pairs = seen[3]
+    assert pairs > 0 and first_steps[2] == 1.0
+    assert first_steps[3] == min(1.0, 1.0 / (1.0 + float(np.abs(grad).sum()))) < 1.0
+    assert seen[4][1] <= 1
+    assert res.termination == "grad_tol" and np.max(np.abs(res.theta - 1.0)) <= 1e-5
+
+
 def test_max_iter_zero_returns_start():
     res = lbfgs_minimize(
         rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(max_iter=0, grad_tol_inf=1e-12)
@@ -147,11 +172,15 @@ def test_line_search_step_satisfies_both_wolfe_conditions():
 
 
 def test_line_search_fails_on_unbounded_descent():
+    tried = []
+
     def phi(t):
+        tried.append(t)
         return -t, -1.0
 
-    with pytest.raises(LineSearchError):
-        line_search_strong_wolfe(phi, 0.0, -1.0, LbfgsConfig(max_line_search_steps=8))
+    with pytest.raises(LineSearchError, match="after 25 evaluations"):
+        line_search_strong_wolfe(phi, 0.0, -1.0, LbfgsConfig())
+    assert len(tried) == 25
 
 
 def test_line_search_failure_returns_best_iterate():

@@ -72,6 +72,16 @@ def test_find_stationary_point_rejects_bad_tolerance(underfit_problem):
         find_stationary_point(Topology((2, 2, 1)), underfit_problem, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_find_stationary_point_refuses_a_tolerance_it_cannot_check(tol):
+    # the transfer fixture, whose seed-1 start is far from stationary
+    data = standardize(
+        make_synthetic("teacher_net", n=2, m=1, samples=24, noise=0.1, seed=6, teacher_width=5)
+    )
+    with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {tol}"):
+        find_stationary_point(Topology((2, 2, 1)), data, tol=tol, seed=1)
+
+
 def test_find_stationary_point_raises_on_tiny_budget(underfit_problem):
     with pytest.raises(NonConvergenceError) as info:
         find_stationary_point(Topology((2, 2, 1)), underfit_problem, tol=1e-12, max_iter=1)
