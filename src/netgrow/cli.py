@@ -110,13 +110,41 @@ def _load_config_defaults(parser: argparse.ArgumentParser, path: str, command: s
         raise UsageError(f"config file {path} is for the {echoed!r} command, not {command!r}")
     payload.pop("config", None)
     sub = parser.subcommand_parsers[command]
-    known = {action.dest for action in sub._actions}
-    unknown = set(payload) - known
+    actions = {action.dest: action for action in sub._actions}
+    unknown = set(payload) - set(actions)
     if unknown:
         raise UsageError(
             f"config keys {sorted(unknown)} are not flags of the {command!r} command"
         )
+    # argparse runs a flag's type only on string defaults, so each value is checked here.
+    for key, value in payload.items():
+        takes, fits = _config_type(actions[key])
+        nullable = actions[key].default is None
+        if not (fits(value) or (nullable and value is None)):
+            raise UsageError(f"config file {path}: {key!r} takes {takes}"
+                             f"{' or null' if nullable else ''}, got {json.dumps(value)}")
     sub.set_defaults(**payload)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_type(action: argparse.Action):
+    """What a flag takes as a JSON value in a config file, and a test of a value."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return "true or false", lambda value: isinstance(value, bool)
+    if isinstance(action, _RepeatableFlag):
+        return "a list of strings", lambda value: (
+            isinstance(value, list) and all(isinstance(item, str) for item in value))
+    if action.type is int:
+        return "an integer", _is_int
+    if action.type is float:
+        return "a number", lambda value: _is_int(value) or isinstance(value, float)
+    if action.dest == "target_cols":  # config.json echoes the indices it parsed to
+        return "a string or a list of integers", lambda value: isinstance(value, str) or (
+            isinstance(value, list) and all(map(_is_int, value)))
+    return "a string", lambda value: isinstance(value, str)
 
 
 def _resolve_dataset(args, spec: str | None = None) -> Dataset:
@@ -369,8 +397,13 @@ def cmd_profile(args) -> int:
             raise UsageError(f"--table {stems[path.stem]} and --table {path} would both "
                              f"write profile_{path.stem}.tsv")
         stems[path.stem] = path
-    profiles = [(path, performance_ratio(table).clamped_rows, performance_profile(table, alphas))
-                for path, table in tables]
+    profiles = []
+    for path, table in tables:
+        try:  # the library's own message, labelled with the table, as a load error is
+            profiles.append((path, performance_ratio(table).clamped_rows,
+                             performance_profile(table, alphas)))
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from None
     out = _out_dir(args)
     for path, clamped_rows, curve in profiles:
         target = out / f"profile_{path.stem}.tsv"

@@ -37,8 +37,11 @@ class Dataset:
     origin: dict | None = None
 
     def __post_init__(self) -> None:
-        x = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(self.targets, dtype=np.float64))
+        x = np.asarray(self.inputs, dtype=np.float64)
+        y = np.asarray(self.targets, dtype=np.float64)
+        if x.ndim != 2 or y.ndim != 2:
+            raise ValueError(f"inputs and targets must be 2-D (samples x columns), got "
+                             f"shapes {x.shape} and {y.shape}")
         if x.shape[0] != y.shape[0]:
             raise ValueError(f"{x.shape[0]} input rows vs {y.shape[0]} target rows")
         if x.shape[0] < 1:

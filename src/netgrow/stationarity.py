@@ -7,17 +7,17 @@ to zero-gradient points. Both are certified numerically against thresholds.
 The ``*_records`` generators are the suite ``netgrow verify`` runs, one per
 check family; each yields the plain records it writes to ``reports.jsonl``.
 
-The transfer checks need stationary points of one small net from many start
-seeds, and on a net that small numpy's fixed cost per call, not arithmetic,
-sets the price of an evaluation. :func:`_stationary_points`, the one search
-loop, therefore runs up to ``SEARCHES_IN_FLIGHT`` searches in lockstep,
-each a resumable L-BFGS (:func:`~netgrow.optimizer.lbfgs_search`), and
-evaluates each round's points in one stacked call
-(:func:`~netgrow.autodiff.stacked_risk_objective`). It launches the next seed
-only while the converged searches plus those in flight are fewer than it
-wants, so it runs exactly the seeds a one-by-one loop runs, each to the same
-bits, and discards none. :func:`find_stationary_point` is its one-seed case,
-and :func:`escape_rate` evaluates all its grown nets in one stacked call.
+The transfer and escape checks need stationary points of one small net from
+a range of start seeds, and on a net that small numpy's fixed cost per call,
+not arithmetic, sets the price of an evaluation. :func:`_stationary_points`,
+the one search loop, therefore runs up to ``SEARCHES_IN_FLIGHT`` resumable
+L-BFGS searches (:func:`~netgrow.optimizer.lbfgs_search`) in lockstep, with
+one stacked evaluation per round (:func:`~netgrow.autodiff.stacked_risk_objective`).
+It alone decides whether a search converged, and hands back the points found,
+in seed order, and the failed searches. It runs exactly the seeds a one-by-one
+loop runs, each to the same bits, and discards none. The transfer and escape
+checks each call it once; :func:`find_stationary_point` is its one-seed case.
+:func:`escape_rate` evaluates all its grown nets in one stacked call.
 """
 
 from __future__ import annotations
@@ -136,13 +136,15 @@ def find_stationary_point(
     The search counts as diverged, and is given up, once an iterate's largest
     parameter magnitude exceeds ``DIVERGENCE_BOUND``. Raises
     :class:`NonConvergenceError` when the search diverges, hits ``max_iter``
-    or fails a line search; its ``outcome`` names which. This is the search
-    loop :func:`_stationary_points` run on the one seed.
+    or fails a line search; its ``outcome`` names which. This is
+    :func:`_stationary_points` asked for one point from the one seed.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    [(_, result)] = _stationary_points(topology, data, [seed], 1, tol=tol, max_iter=max_iter)
-    return _stationary(topology, result, tol)
+    points, failed = _stationary_points(topology, data, [seed], 1, tol=tol, max_iter=max_iter)
+    if failed:
+        raise _non_convergence(failed[0])
+    return points[0][1]
 
 
 def _search_start(topology: Topology, seed: int) -> np.ndarray:
@@ -153,53 +155,55 @@ def _diverged(_k, x, _f, _g) -> bool:
     return float(np.abs(x).max()) > DIVERGENCE_BOUND
 
 
-def _stationary(topology: Topology, result: OptimResult, tol: float) -> ParamVector:
-    """The point a search reached, or :class:`NonConvergenceError` if its gradient is above ``tol``."""
-    if result.grad_norm_final > tol:
-        if result.termination == "custom":
-            outcome = "diverged"
-            detail = f"max|θ| {np.max(np.abs(result.theta)):.1f} > {DIVERGENCE_BOUND:g}"
-        else:
-            outcome = result.termination
-            detail = f"final gradient norm {result.grad_norm_final:.3e}"
-        raise NonConvergenceError(
-            result.grad_norm_final, outcome, result.iterations, result.evaluations, detail
-        )
-    return ParamVector(topology, result.theta)
+def _non_convergence(result: OptimResult) -> NonConvergenceError:
+    """The :class:`NonConvergenceError` of a search that stopped above its tolerance."""
+    if result.termination == "custom":
+        outcome = "diverged"
+        detail = f"max|θ| {np.max(np.abs(result.theta)):.1f} > {DIVERGENCE_BOUND:g}"
+    else:
+        outcome = result.termination
+        detail = f"final gradient norm {result.grad_norm_final:.3e}"
+    return NonConvergenceError(
+        result.grad_norm_final, outcome, result.iterations, result.evaluations, detail
+    )
 
 
-def _stationary_points(topology: Topology, data, seeds: Sequence[int], wanted: int, *,
-                       tol: float, max_iter: int) -> list[tuple[int, OptimResult]]:
-    """``(seed, result)`` of each search run to find ``wanted`` stationary points, in seed order.
+def _stationary_points(topology: Topology, data, seeds: Sequence[int], wanted: int, *, tol: float,
+                       max_iter: int) -> tuple[list[tuple[int, ParamVector]], list[OptimResult]]:
+    """Up to ``wanted`` stationary points, as ``(seed, point)`` in seed order, and failed searches.
 
     Seeds are tried in order until ``wanted`` searches end with a gradient norm
-    of at most ``tol``. Up to ``SEARCHES_IN_FLIGHT`` resumable searches advance
-    in lockstep, with one stacked evaluation per round, and a seed is launched
-    only while the converged searches plus those in flight fall short of
-    ``wanted``: exactly the seeds of a one-by-one loop run, and none is wasted.
+    of at most ``tol``; each search that stopped above it is returned as its
+    ``OptimResult``, in the order the searches stopped. Up to
+    ``SEARCHES_IN_FLIGHT`` resumable searches advance in lockstep, with one
+    stacked evaluation per round, and a seed is launched only while the points
+    found plus the searches in flight fall short of ``wanted``: exactly the
+    seeds of a one-by-one loop run, and none is wasted.
     """
     objective = stacked_risk_objective(topology, data)
     cfg = LbfgsConfig(grad_tol_inf=tol, max_iter=max_iter)
     pending = iter(seeds)
     flight: dict[int, list] = {}  # seed -> [search, the point it waits on]
-    results, converged = [], 0
+    points, failed = [], []
     while True:
-        while len(flight) < SEARCHES_IN_FLIGHT and converged + len(flight) < wanted:
+        while len(flight) < SEARCHES_IN_FLIGHT and len(points) + len(flight) < wanted:
             seed = next(pending, None)
             if seed is None:
                 break
             search = lbfgs_search(_search_start(topology, seed), cfg, _diverged)
             flight[seed] = [search, next(search)]
         if not flight:
-            return sorted(results, key=lambda searched: searched[0])
+            return sorted(points, key=lambda found: found[0]), failed
         risks, grads = objective(np.stack([point for _, point in flight.values()]))
         for k, (seed, entry) in enumerate(list(flight.items())):
             try:
                 entry[1] = entry[0].send((risks[k], grads[k]))
             except StopIteration as done:
                 del flight[seed]
-                results.append((seed, done.value))
-                converged += done.value.grad_norm_final <= tol
+                if done.value.grad_norm_final <= tol:
+                    points.append((seed, ParamVector(topology, done.value.theta)))
+                else:
+                    failed.append(done.value)
 
 
 def verify_loss_invariance(
@@ -422,12 +426,9 @@ def transfer_records(seeds: int, seed: int) -> Iterator[dict]:
     """Constant and split transfer checks at ``seeds`` stationary points of a (2,2,1) net."""
     fixture = _teacher_fixture(0.1, 5)
     starts = range(seed + 1, seed + 1 + seeds * 4)
-    topology = Topology((2, 2, 1))
-    for start, result in _stationary_points(topology, fixture, starts, seeds, tol=1e-8,
-                                            max_iter=3000):
-        if result.grad_norm_final > 1e-8:
-            continue  # a start that did not converge
-        theta = ParamVector(topology, result.theta)
+    points, _ = _stationary_points(Topology((2, 2, 1)), fixture, starts, seeds, tol=1e-8,
+                                   max_iter=3000)
+    for start, theta in points:
         rng = np.random.default_rng(start + 500)
         for kind in ("constant", "split"):
             spec = transfer_safe_spec(kind, theta.topology, 1, 2, rng)
@@ -439,15 +440,11 @@ def escape_records(seed: int) -> Iterator[dict]:
     """At a stationary point of a (2,1,1) net, >= 90 % of 50 inert growths must escape."""
     # a width-1 student of a wide teacher keeps a large residual, so growth wakes it up
     fixture = _teacher_fixture(0.2, 8)
-    for start in range(seed, seed + 20):
-        try:
-            theta = find_stationary_point(Topology((2, 1, 1)), fixture, tol=1e-8, max_iter=3000,
-                                          seed=start)
-            break
-        except NonConvergenceError:
-            pass
-    else:
+    points, _ = _stationary_points(Topology((2, 1, 1)), fixture, range(seed, seed + 20), 1,
+                                   tol=1e-8, max_iter=3000)
+    if not points:
         raise RuntimeError("no stationary point found for the escape check")
+    [(_, theta)] = points
     rate = escape_rate(theta, fixture, layer=1, count=2, draws=50, threshold=1e-3, seed=seed)
     yield {
         "check": "escape",

@@ -122,3 +122,15 @@ def test_profile_reports_the_zero_risk_clamp(tmp_path, capsys):
         "t.tsv: zero-risk clamp applied on rows [0]", "wrote profile_t.tsv"]
     lines = (tmp_path / "p" / "profile_t.tsv").read_text().splitlines()
     assert lines == ["alpha\trho_a\trho_b", "1.0\t1.0\t0.0", "2.0\t1.0\t0.0"]
+
+
+def test_profile_names_the_table_whose_row_every_solver_failed(tmp_path, capsys):
+    good, dead = tmp_path / "t.tsv", tmp_path / "dead.tsv"
+    header = "problem\tsolver\treplica\tbudget\tfinal_risk\n"
+    good.write_text(header + TWO_ROWS)
+    dead.write_text(header + "p0\ta\t0\t10\tinf\np0\tb\t0\t10\tinf\n")
+    code = main(["profile", "--table", str(good), "--table", str(dead),
+                 "--out", str(tmp_path / "p")])
+    assert code == 2
+    assert f"{dead}: all solvers failed on: ['p0#0']" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()

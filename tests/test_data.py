@@ -115,6 +115,18 @@ def test_dataset_rejects_nan_and_mismatch():
         Dataset(np.zeros((2, 1)), np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("inputs, targets", [
+    (np.arange(5.0), 2 * np.arange(5.0)),  # 1-D: once read as one sample of five features
+    (np.zeros((5, 2)), np.zeros(5)),
+    (np.zeros((5, 2, 1)), np.zeros((5, 1))),
+    (np.zeros((5, 2)), np.float64(1.0)),
+], ids=["1-D-both", "1-D-targets", "3-D-inputs", "0-D-targets"])
+def test_dataset_refuses_arrays_that_are_not_2d_naming_both_shapes(inputs, targets):
+    shapes = f"{np.shape(inputs)} and {np.shape(targets)}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        Dataset(inputs, targets)
+
+
 def test_synthetic_deterministic_bytes(tmp_path):
     a = make_synthetic("teacher_net", n=2, m=1, samples=15, noise=0.1, seed=9)
     b = make_synthetic("teacher_net", n=2, m=1, samples=15, noise=0.1, seed=9)

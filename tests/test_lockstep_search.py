@@ -1,13 +1,14 @@
 """Stationary-point searches run in lockstep exactly as they run one by one.
 
-``transfer_records`` and ``find_stationary_point`` find their points with
-``stationarity._stationary_points``, which advances many resumable L-BFGS
-searches together and evaluates each round's points in one stacked call. On
-the certify panel's fixture it must run the seeds that a loop of per-call
-searches (``lbfgs_minimize`` on ``risk_objective``) runs, reach the same
-points to the bit with the same evaluations per search, and never have more
-than ``SEARCHES_IN_FLIGHT`` searches in flight. Run on one seed, it must
-succeed and fail as the per-call search does.
+``transfer_records``, ``escape_records`` and ``find_stationary_point`` find
+their points with ``stationarity._stationary_points``, which advances many
+resumable L-BFGS searches together and evaluates each round's points in one
+stacked call. On the certify panel's fixture it must run the seeds that a loop
+of per-call searches (``lbfgs_minimize`` on ``risk_objective``) runs, reach the
+same points to the bit with the same evaluations per search, and never have
+more than ``SEARCHES_IN_FLIGHT`` searches in flight. Run on one seed, it must
+succeed and fail as the per-call search does; asked for one point, it must
+move past a seed that fails.
 """
 
 import numpy as np
@@ -76,11 +77,11 @@ def searches_in_lockstep(fixture, starts, monkeypatch):
 
     monkeypatch.setattr(stationarity, "lbfgs_search", recording_search)
     record_stacks(monkeypatch, rounds)
-    searches = stationarity._stationary_points(TOPOLOGY, fixture, starts, WANTED, tol=1e-8,
-                                               max_iter=3000)
+    points, failed = stationarity._stationary_points(TOPOLOGY, fixture, starts, WANTED, tol=1e-8,
+                                                     max_iter=3000)
     monkeypatch.undo()
-    points = [(seed, ParamVector(TOPOLOGY, result.theta))
-              for seed, result in searches if result.grad_norm_final <= 1e-8]
+    assert len(points) + len(failed) == len(runs)
+    assert all(result.grad_norm_final > 1e-8 for result in failed)
     return points, runs, rounds
 
 
@@ -136,7 +137,9 @@ def per_call_search(fixture, seed, max_iter):
                             stationarity._search_start(TOPOLOGY, seed),
                             LbfgsConfig(grad_tol_inf=1e-8, max_iter=max_iter),
                             stationarity._diverged)
-    return stationarity._stationary(TOPOLOGY, result, 1e-8)
+    if result.grad_norm_final > 1e-8:
+        raise stationarity._non_convergence(result)
+    return ParamVector(TOPOLOGY, result.theta)
 
 
 def test_one_seed_reaches_the_bits_of_a_per_call_search(fixture):
@@ -162,3 +165,34 @@ def test_a_one_seed_search_stacks_one_network(fixture, monkeypatch):
     record_stacks(monkeypatch, stacks)
     find_stationary_point(TOPOLOGY, fixture, tol=1e-8, max_iter=3000, seed=6)
     assert stacks and set(stacks) == {1}
+
+
+def test_one_wanted_point_moves_past_a_failed_first_seed(fixture):
+    # seed 106 diverges on this fixture (see test_search_stop.py); 107 converges
+    points, failed = stationarity._stationary_points(TOPOLOGY, fixture, range(106, 126), 1,
+                                                     tol=1e-8, max_iter=3000)
+    assert [seed for seed, _ in points] == [107]
+    assert [result.termination for result in failed] == ["custom"]
+    want = find_stationary_point(TOPOLOGY, fixture, tol=1e-8, max_iter=3000, seed=107)
+    assert points[0][1].flat.tobytes() == want.flat.tobytes()
+
+
+def test_the_escape_check_moves_past_a_failed_first_search(monkeypatch):
+    seed = 3
+    data = stationarity._teacher_fixture(0.2, 8)
+    theta = find_stationary_point(Topology((2, 1, 1)), data, tol=1e-8, max_iter=3000,
+                                  seed=seed + 1)
+    want = escape_rate(theta, data, layer=1, count=2, draws=50, threshold=1e-3, seed=seed)
+    diverged, starts = stationarity._diverged, []
+
+    def first_search_diverges(k, x, f, g):
+        if k == 0:
+            starts.append(x.copy())
+        return len(starts) == 1 or diverged(k, x, f, g)
+
+    monkeypatch.setattr(stationarity, "_diverged", first_search_diverges)
+    [record] = stationarity.escape_records(seed)
+    assert len(starts) == 2
+    second = stationarity._search_start(Topology((2, 1, 1)), seed + 1)
+    assert starts[1].tobytes() == second.tobytes()
+    assert record["escape_rate"] == want

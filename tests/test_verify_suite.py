@@ -107,7 +107,7 @@ def test_the_model_sweep_writes_what_the_suite_yields(tmp_path):
 
 
 @pytest.mark.parametrize("name", [
-    "find_stationary_point", "verify_stationarity_transfer", "escape_rate", "transfer_safe_spec",
+    "verify_stationarity_transfer", "escape_rate", "transfer_safe_spec",
 ])
 def test_the_command_reaches_the_module_level_function(tmp_path, monkeypatch, name):
     original = getattr(stationarity, name)
