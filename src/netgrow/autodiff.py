@@ -154,15 +154,7 @@ def stacked_risk_objective(
     stacked workspace of its own ``K`` networks.
     """
     inputs, targets = _checked_data(topology, data)
-    n_params = topology.n_params
-    # Each layer's columns in a (K, n) stack and its block's shape, read off
-    # the flat layout's block views of the entry indices.
-    spans = [(slice(block[0, 0], block[-1, -1] + 1), block.shape)
-             for block in _block_views(topology.layer_sizes, np.arange(n_params))]
-
-    def blocks(flats: np.ndarray) -> list[np.ndarray]:
-        k = flats.shape[0]
-        return [flats[:, span].reshape(k, *shape) for span, shape in spans]
+    sizes, n_params = topology.layer_sizes, topology.n_params
 
     def objective(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -170,10 +162,10 @@ def stacked_risk_objective(
         if thetas.shape != (k, n_params) or k < 1:
             raise ValueError(f"expected (K, {n_params}) parameters with K >= 1, got {thetas.shape}")
         # biases as (K, 1, H), so that they broadcast over the samples
-        layers = [(block[:, None, :, 0], block[..., 1:]) for block in blocks(thetas)]
+        layers = [(block[:, None, :, 0], block[..., 1:]) for block in _block_views(sizes, thetas)]
         risks, partials = _sweep(layers, inputs, targets, _forward(topology, layers, inputs))
         grads = np.empty((k, n_params))
-        for (grad_b, grad_w), block in zip(partials, blocks(grads)):
+        for (grad_b, grad_w), block in zip(partials, _block_views(sizes, grads)):
             block[..., 0] = grad_b
             block[..., 1:] = grad_w
         return risks, grads

@@ -106,14 +106,21 @@ class SplitGrowth:
 GrowthSpec = Union[InertGrowth, ConstantGrowth, SplitGrowth]
 
 
+def _new_columns(blocks: list[np.ndarray], layer: int, count: int) -> np.ndarray:
+    """The columns of ``blocks[layer]`` that hidden layer ``layer``'s last ``count`` neurons feed."""
+    if count < 1:  # a -0: slice would select every column
+        raise ValueError(f"count must be >= 1, got {count}")
+    return blocks[layer][..., -count:]
+
+
 def _widen(theta: ParamVector, layer: int, count: int, biases, in_weights, out_weights,
            edit: tuple[int, np.ndarray] | None = None) -> ParamVector:
     """Add ``count`` neurons to ``layer`` in one newly allocated flat vector.
 
-    ``biases`` and ``in_weights`` fill block ``layer``'s new rows, ``out_weights``
-    block ``layer + 1``'s new columns and ``edit = (j, values)`` its column j.
-    All else is copied once: all before the new rows and all after block
-    ``layer + 1`` as one slice each, block ``layer + 1`` into its first columns.
+    Each old block is copied once, into the leading rows and columns of its
+    grown view. ``biases`` and ``in_weights`` fill block ``layer``'s new rows,
+    ``out_weights`` block ``layer + 1``'s new columns and ``edit = (j, values)``
+    then its column j.
     """
     if count == 0:  # e.g. a lone share of 1, which leaves the source untouched
         return theta
@@ -121,18 +128,15 @@ def _widen(theta: ParamVector, layer: int, count: int, biases, in_weights, out_w
     sizes[layer] += count
     topology = Topology(tuple(sizes))
     flat = np.empty(topology.n_params)
-    blocks, grown = theta.layer_blocks(), _block_views(sizes, flat)
-    rows, upper = grown[layer - 1][-count:], grown[layer]
-    kept = blocks[layer].shape[1]
-    start = sum(block.size for block in blocks[:layer])  # where the new rows begin
-    flat[:start] = theta.flat[:start]
-    flat[start + rows.size + upper.size :] = theta.flat[start + blocks[layer].size :]
+    grown = _block_views(sizes, flat)
+    for old, new in zip(theta.layer_blocks(), grown):
+        new[: old.shape[0], : old.shape[1]] = old
+    rows = grown[layer - 1][-count:]
     rows[:, 0] = biases
     rows[:, 1:] = in_weights
-    upper[:, :kept] = blocks[layer]
-    upper[:, kept:] = out_weights
+    _new_columns(grown, layer, count)[:] = out_weights
     if edit is not None:
-        upper[:, edit[0]] = edit[1]
+        grown[layer][:, edit[0]] = edit[1]
     return ParamVector._adopt(topology, flat)
 
 

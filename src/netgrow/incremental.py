@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .autodiff import risk_and_gradient, risk_objective
-from .growth import GrowthPlan, GrowthStep, apply_plan
+from .growth import GrowthPlan, GrowthStep, _new_columns, apply_plan
 from .net_core import ParamVector, Topology, _block_views, param_count
 from .optimizer import LbfgsConfig, lbfgs_minimize
 
@@ -151,6 +151,8 @@ class TrainRun:
 
     def risk_after(self, epochs: int) -> float:
         """Risk after ``epochs`` training epochs (clamped to the run length)."""
+        if epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {epochs}")
         return self.loss_trace[min(epochs, len(self.loss_trace) - 1)]
 
     def epoch_records(self):
@@ -295,7 +297,6 @@ def _grow_stage(
         raise RuntimeError("growth step requested but every layer is at max width")
     plan = GrowthPlan(tuple(steps))
 
-    old_widths = theta.topology.layer_sizes
     for _ in range(GROWTH_DRAW_LIMIT):
         candidate = apply_plan(theta, plan, rng=rng)
         risk, grad = risk_and_gradient(candidate, data)
@@ -304,7 +305,7 @@ def _grow_stage(
                 f"growth changed the risk: {stage_end_risk!r} -> {risk!r}"
             )
         blocks = _block_views(candidate.topology.layer_sizes, grad)
-        wake = max(float(np.abs(blocks[step.layer][:, 1 + old_widths[step.layer]:]).max())
+        wake = max(float(np.abs(_new_columns(blocks, step.layer, step.count)).max())
                    for step in steps)
         if wake > cfg.final_grad_tol:
             return candidate

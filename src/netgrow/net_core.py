@@ -80,10 +80,10 @@ def param_count(topology: Topology) -> int:
 
 
 def _block_views(sizes: Sequence[int], flat: np.ndarray) -> list[np.ndarray]:
-    """Per layer ``(H, 1 + H_prev)`` views of a flat vector laid out for ``sizes``."""
-    blocks, offset = [], 0
+    """Per layer ``(..., H, 1 + H_prev)`` views of a flat vector, or of a ``(..., n)`` stack."""
+    lead, blocks, offset = flat.shape[:-1], [], 0
     for h_prev, h in zip(sizes, sizes[1:]):
-        blocks.append(flat[offset : offset + h * (1 + h_prev)].reshape(h, 1 + h_prev))
+        blocks.append(flat[..., offset : offset + h * (1 + h_prev)].reshape(lead + (h, 1 + h_prev)))
         offset += h * (1 + h_prev)
     return blocks
 

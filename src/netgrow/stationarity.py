@@ -36,6 +36,7 @@ from .growth import (
     GrowthSpec,
     GrowthStep,
     SplitGrowth,
+    _new_columns,
     apply_growth,
     apply_plan,
     growth_label,
@@ -232,7 +233,9 @@ def risk_gap_report(
     data,
     map_label: str,
 ) -> StationarityReport:
-    """Risk check of ``grown`` against ``theta``: the risks must agree to ``RISK_GAP_RTOL``."""
+    """Risk check of ``grown``, wider than ``theta``: the risks must agree to ``RISK_GAP_RTOL``."""
+    if grown.topology == theta.topology:
+        raise ValueError(f"{map_label} adds no neuron: the check would compare a net with itself")
     source_risk, source_grad = risk_and_gradient(theta, data)
     grown_risk, grown_grad = risk_and_gradient(grown, data)
     gap = abs(grown_risk - source_risk)
@@ -323,6 +326,9 @@ def escape_rate(
     At a stationary point this is the probability that growing wakes the
     optimizer up again; it should be near one for uniform(0,1) draws.
     """
+    for name, value in (("count", count), ("draws", draws)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     grown = [apply_growth(theta, random_growth("inert", theta.topology, layer, count, rng))
              for _ in range(draws)]
@@ -410,7 +416,7 @@ def control_records(topologies: Sequence[Topology], seed: int) -> Iterator[dict]
         grown = apply_growth(theta, random_growth("inert", topology, 1, 2, rng))
         # corrupt one of the zero outgoing weights of the first new neuron
         flat = grown.flat.copy()
-        _block_views(grown.topology.layer_sizes, flat)[1][0, -2] = 0.7
+        _new_columns(_block_views(grown.topology.layer_sizes, flat), 1, 2)[0, 0] = 0.7
         corrupted = ParamVector(grown.topology, flat)
         report = risk_gap_report(theta, corrupted, _verify_fixture(topology, 1000 + t),
                                  "inert(corrupted)")

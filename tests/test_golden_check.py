@@ -1,5 +1,7 @@
-"""tools/golden.py --check compares a fresh manifest with the committed one line by line."""
+"""tools/golden.py --check compares a fresh manifest with the committed one line by
+line, and --keep DIR leaves the run's outputs in DIR."""
 
+import hashlib
 import importlib.util
 import os
 from pathlib import Path
@@ -53,3 +55,28 @@ def test_each_moved_missing_and_new_line_is_listed(root, capsys):
         f"new:     {fresh[2]}",
         "manifest differs: 2 moved, 1 missing, 1 new",
     ]
+
+
+def test_keep_leaves_the_run_directory_with_the_files_the_manifest_hashes(tmp_path, monkeypatch,
+                                                                         capsys):
+    monkeypatch.setattr(golden, "COMMANDS", (
+        ["train", "--data", "iris.csv", "--has-header", "--hidden", "2", "--maxit", "3",
+         "--seed", "1", "--out", "train"],
+    ))
+    monkeypatch.setattr(golden, "PANEL_SEEDS", ())
+    keep = tmp_path / "run"
+    assert golden.main(["--keep", str(keep)]) == 0
+    hashed = dict(reversed(line.split("  ", 1)) for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("#"))
+    assert "train/config.json" in hashed
+    kept = {p.relative_to(keep).as_posix() for p in keep.rglob("*") if p.is_file()}
+    assert kept == {*hashed, *golden.INPUTS}
+    for path, digest in hashed.items():
+        assert hashlib.sha256((keep / path).read_bytes()).hexdigest() == digest
+
+
+def test_keep_refuses_a_directory_that_is_not_empty(tmp_path):
+    (tmp_path / "stale.txt").write_text("old output", encoding="utf-8")
+    with pytest.raises(SystemExit, match="not empty"):
+        golden.manifest(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["stale.txt"]

@@ -18,6 +18,7 @@ from netgrow import (
     random_growth,
 )
 from netgrow.data import Dataset
+from netgrow.growth import _new_columns
 
 
 def make_case(sizes, samples=10, seed=0, scale=1.0):
@@ -233,3 +234,13 @@ def test_split_spec_of_zero_copies_is_identity():
     theta, _ = make_case([2, 2, 1])
     grown = apply_growth(theta, SplitGrowth(1, 0, 0, np.array([1.0])))
     assert grown is theta
+
+
+def test_new_columns_are_the_last_columns_and_never_all_of_them():
+    t = build_topology([2, 3, 2, 1])
+    blocks = ParamVector(t, np.arange(param_count(t), dtype=float)).layer_blocks()
+    assert np.shares_memory(_new_columns(blocks, 1, 2), blocks[1])
+    assert np.array_equal(_new_columns(blocks, 1, 2), blocks[1][:, 2:])
+    # a -0: slice would select every column, bias included
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        _new_columns(blocks, 1, 0)

@@ -121,6 +121,14 @@ def test_budget_cap_and_prefix_property(problem):
     assert long.risk_after(40) == short.final_risk
 
 
+def test_risk_after_refuses_a_negative_epoch_count(problem):
+    # a negative index would count from the end and read the final risk
+    run = ita_train(problem, ItaConfig(initial_width=2, max_width=4, seed=1, maxit_per_stage=5))
+    assert run.risk_after(0) == run.loss_trace[0]
+    with pytest.raises(ValueError, match=r"^epochs must be >= 0, got -1$"):
+        run.risk_after(-1)
+
+
 def test_deterministic_under_seed(problem):
     cfg = ItaConfig(initial_width=5, max_width=20, seed=8, maxit_per_stage=40)
     a = ita_train(problem, cfg)

@@ -12,6 +12,7 @@ import pytest
 from netgrow import ParamVector, Topology, param_count, risk_and_gradient
 from netgrow.autodiff import stacked_risk_objective
 from netgrow.data import Dataset
+from netgrow.net_core import _block_views
 
 FIXED = [(2, 1, 1), (2, 2, 1), (2, 2, 2, 1), (2, 4, 1), (2, 25, 25, 1)]
 
@@ -95,3 +96,16 @@ def test_a_stack_outside_the_capacity_or_layout_is_refused(shape):
     objective = stacked_risk_objective(Topology((2, 4, 1)), make_data(rng, (2, 4, 1), 24))
     with pytest.raises(ValueError, match=r"expected \(K, 17\) parameters with K >= 1"):
         objective(np.zeros(shape))
+
+
+@pytest.mark.parametrize("sizes", FIXED, ids=[",".join(map(str, s)) for s in FIXED])
+def test_block_views_of_a_stack_are_the_block_views_of_each_row(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    thetas = make_thetas(rng, Topology(sizes), 3)
+    stacked = _block_views(sizes, thetas)
+    assert len(stacked) == len(sizes) - 1
+    assert all(np.shares_memory(block, thetas) for block in stacked)
+    for k, row in enumerate(thetas):
+        for block, alone in zip(stacked, _block_views(sizes, row), strict=True):
+            assert block[k].shape == alone.shape
+            assert block[k].tobytes() == alone.tobytes()

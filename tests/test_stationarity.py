@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -207,6 +208,46 @@ def test_escape_statistics():
     point = find_stationary_point(Topology((2, 1, 1)), problem, tol=1e-8, max_iter=3000, seed=0)
     rate = escape_rate(point, problem, layer=1, count=2, draws=50, threshold=1e-3, seed=0)
     assert rate >= 0.9
+
+
+@pytest.mark.parametrize("argument", ["count", "draws"])
+def test_escape_rate_refuses_nothing_to_grow_or_to_draw(argument):
+    # a count of 0 grows nothing, so the rate would test the source's own
+    # gradient (1.0 at this non-stationary net); 0 draws leave no rate at all
+    rng = np.random.default_rng(3)
+    t = build_topology([2, 2, 1])
+    theta = ParamVector(t, rng.standard_normal(param_count(t)))
+    data = Dataset(rng.uniform(-2, 2, (12, 2)), rng.uniform(-1, 1, (12, 1)))
+    kwargs = {"count": 2, "draws": 5, argument: 0}
+    with pytest.raises(ValueError, match=f"^{argument} must be >= 1, got 0$"):
+        escape_rate(theta, data, layer=1, **kwargs)
+
+
+NO_GROWTH = {
+    "inert@1x0": InertGrowth(1, np.zeros(0), np.zeros((0, 2))),
+    "split@1x0": SplitGrowth(1, 0, 0, np.ones(1)),
+    "plan[]": GrowthPlan(()),
+}
+
+
+@pytest.mark.parametrize("label", NO_GROWTH)
+def test_loss_invariance_refuses_a_map_that_adds_no_neuron(label):
+    rng = np.random.default_rng(4)
+    t = build_topology([2, 2, 1])
+    theta = ParamVector(t, rng.standard_normal(param_count(t)))
+    data = Dataset(rng.uniform(-2, 2, (12, 2)), rng.uniform(-1, 1, (12, 1)))
+    with pytest.raises(ValueError, match=re.escape(f"{label} adds no neuron")):
+        verify_loss_invariance(theta, data, NO_GROWTH[label], rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("label", NO_GROWTH)
+def test_transfer_refuses_a_map_or_chain_that_adds_no_neuron(stationary_point, underfit_problem,
+                                                             label):
+    # a map of 0 neurons fails the chain's step check; an empty chain, the risk check
+    growth, message = (([], r"plan\[\] adds no neuron") if label == "plan[]"
+                       else (NO_GROWTH[label], "step count must be >= 1"))
+    with pytest.raises(ValueError, match=message):
+        verify_stationarity_transfer(stationary_point, underfit_problem, growth)
 
 
 def brute_force_families(hidden: int, budget: int) -> int:

@@ -26,6 +26,14 @@ byte-identical leaves the output equal to the manifest.
 instead of printing it: it lists the lines whose value moved, the lines
 missing from the run and the lines new in it, and exits 1 if there are any
 (0 and "manifest unchanged" otherwise).
+
+``--keep DIR`` runs the commands in DIR, which must be new or empty, and
+leaves it in place instead of a temporary directory that is deleted. Run it
+in two checkouts to compare their outputs file by file:
+
+    python3 tools/golden.py --check --keep /tmp/golden-parent   # in the parent
+    python3 tools/golden.py --check --keep /tmp/golden-change   # in the change
+    diff -r /tmp/golden-parent /tmp/golden-change
 """
 
 from __future__ import annotations
@@ -141,12 +149,24 @@ def run(argv: list[str]) -> None:
         raise SystemExit(f"netgrow {' '.join(argv)} exited {code}")
 
 
-def manifest() -> list[str]:
-    """Run every command in a temporary directory and return the manifest's lines."""
+def manifest(keep: Path | None = None) -> list[str]:
+    """Run every command and return the manifest's lines.
+
+    The commands run in a temporary directory, or in ``keep``, which must be
+    new or empty and is left in place.
+    """
     lines = []
     counts = []
     home = Path.cwd()
-    with tempfile.TemporaryDirectory(prefix="netgrow-golden-") as tmp:
+    if keep is None:
+        scope = tempfile.TemporaryDirectory(prefix="netgrow-golden-")
+    else:
+        keep = keep.resolve()
+        keep.mkdir(parents=True, exist_ok=True)
+        if any(keep.iterdir()):
+            raise SystemExit(f"--keep {keep}: directory is not empty")
+        scope = contextlib.nullcontext(keep)
+    with scope as tmp:
         work = Path(tmp)
         shutil.copy(IRIS, work / "iris.csv")
         topology = build_topology(SOURCE_SIZES)
@@ -199,12 +219,14 @@ def check(fresh: list[str]) -> int:
     return 0
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with GOLDEN.sha256 and exit 1 on any difference")
-    args = parser.parse_args()
-    lines = manifest()
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="run in DIR (new or empty) and keep it instead of deleting it")
+    args = parser.parse_args(argv)
+    lines = manifest(args.keep)
     if args.check:
         return check(lines)
     for line in lines:
