@@ -130,7 +130,10 @@ def load_results_tsv(path) -> ResultsTable:
     Malformed lines, repeated cells and mixed budgets are rejected with a
     ``ValueError`` that names ``path:line``.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(lines) < 2:
         raise ValueError(f"{path}: empty results table")
     header = tuple(lines[0].split("\t"))

@@ -82,48 +82,39 @@ def _parse_list(flag: str, text, kind=str) -> list:
     return values
 
 
-class _RepeatableFlag(argparse.Action):
-    """A repeatable flag whose command-line values replace its default list.
-
-    ``action="append"`` would add them to the default, so a list from
-    ``--config`` would be extended instead of overridden.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, self.dest)
-        items = [] if items is self.default else items
-        setattr(namespace, self.dest, [*items, values])
-
-
-def _load_config_defaults(parser: argparse.ArgumentParser, path: str, command: str) -> None:
-    """Apply --config JSON values as ``command``'s defaults; flags still override."""
+def _apply_config(args: argparse.Namespace, path: str, tokens: list[str]) -> None:
+    """Set each --config value whose flag ``tokens`` (the command line after the
+    subcommand) leave out; a flag there is its option string or ``--flag=value``."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     # A config.json written by a command echoes "command" and "config" too.
+    command = args.command
     echoed = payload.pop("command", command)
     if echoed != command:
         raise UsageError(f"config file {path} is for the {echoed!r} command, not {command!r}")
     payload.pop("config", None)
-    sub = parser.subcommand_parsers[command]
-    actions = {action.dest: action for action in sub._actions}
+    actions = {action.dest: action
+               for action in _shared_parser().subcommand_parsers[command]._actions}
     unknown = set(payload) - set(actions)
     if unknown:
         raise UsageError(
             f"config keys {sorted(unknown)} are not flags of the {command!r} command"
         )
-    # argparse runs a flag's type only on string defaults, so each value is checked here.
+    given = {token.split("=", 1)[0] for token in tokens}  # no prefixes: allow_abbrev=False
+    # argparse never sees these values, so each is checked against its flag here.
     for key, value in payload.items():
         takes, fits = _config_type(actions[key])
         nullable = actions[key].default is None
         if not (fits(value) or (nullable and value is None)):
             raise UsageError(f"config file {path}: {key!r} takes {takes}"
                              f"{' or null' if nullable else ''}, got {json.dumps(value)}")
-    sub.set_defaults(**payload)
+        if given.isdisjoint(actions[key].option_strings):
+            setattr(args, key, value)
 
 
 def _is_int(value) -> bool:
@@ -134,7 +125,7 @@ def _config_type(action: argparse.Action):
     """What a flag takes as a JSON value in a config file, and a test of a value."""
     if isinstance(action, argparse._StoreTrueAction):
         return "true or false", lambda value: isinstance(value, bool)
-    if isinstance(action, _RepeatableFlag):
+    if isinstance(action, argparse._AppendAction):
         return "a list of strings", lambda value: (
             isinstance(value, list) and all(isinstance(item, str) for item in value))
     if action.type is int:
@@ -474,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser("bench", help="multi-problem solver sweep")
     _add_data_flags(bench)
-    bench.add_argument("--problem", action=_RepeatableFlag, default=[],
+    bench.add_argument("--problem", action="append", default=[],
                        help="dataset file or synth spec; repeatable")
     bench.add_argument("--solvers", default="standard,ita")
     bench.add_argument("--replicas", type=int, default=10)
@@ -491,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", required=True)
 
     profile = commands.add_parser("profile", help="performance profiles from tables")
-    profile.add_argument("--table", action=_RepeatableFlag, default=[],
+    profile.add_argument("--table", action="append", default=[],
                          help="results table written by bench; repeatable")
     profile.add_argument("--alphas", default="10.0",
                          help="grid end (step 0.05) or explicit comma list")
@@ -503,10 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
-    """The parser every call parses with first, built on first use.
-
-    A ``--config`` call then parses again with a parser of its own.
-    """
+    """The parser every call parses with, built on first use and never changed."""
     return build_parser()
 
 
@@ -515,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
     tokens = iter(argv)
     for token in tokens:  # argparse would take an unknown flag's value here for the command
         if not token.startswith("-"):
-            break
+            break  # the subcommand; ``tokens`` holds what follows it
         if token == "--config":
             next(tokens, None)
         elif token not in ("-h", "--help") and not token.startswith("--config="):
@@ -523,10 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         if args.config is not None:
-            # --config sets subcommand defaults, so it parses again with a parser of its own.
-            parser = build_parser()
-            _load_config_defaults(parser, args.config, args.command)
-            args = parser.parse_args(argv)
+            _apply_config(args, args.config, list(tokens))
             args.config = None  # config.json echoes the values the file set, not its path
         # numpy takes only seeds >= 0; bench mixes any --seed into its cell seeds
         if args.command != "bench" and (getattr(args, "seed", None) or 0) < 0:

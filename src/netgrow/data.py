@@ -123,12 +123,15 @@ def load_delimited(
     rows: list[list[str]] = []
     line_numbers: list[int] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            rows.append([cell.strip() for cell in line.split(delimiter)])
-            line_numbers.append(number)
+        try:
+            for number, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                rows.append([cell.strip() for cell in line.split(delimiter)])
+                line_numbers.append(number)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     if has_header and rows:
         rows, line_numbers = rows[1:], line_numbers[1:]
     if not rows:

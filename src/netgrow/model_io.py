@@ -12,7 +12,8 @@ The text form has the layer sizes on the first line and one full-precision
 parameter per following line; both forms round-trip exactly. ``save_model``
 writes the vector's own buffer; ``load_model`` reads the parameters straight
 into the returned vector's array, not memory-mapped, so a model may be saved
-back to its own path. ``load_model_text`` streams the lines.
+back to its own path. ``load_model_text`` streams the lines. Both loaders
+refuse a file holding a NaN or infinite parameter.
 
 Both savers rewrite an existing file in place: they open it without
 truncating it, write the new content over the old and then cut the file at
@@ -91,6 +92,7 @@ def load_model(path) -> ParamVector:
             raise ValueError(f"{path}: expected {q} parameters ({8 * q} bytes), "
                              f"found {size - offset} bytes")
         flat = np.fromfile(handle, dtype="<f8", count=q)
+    _check_finite(path, flat)
     # Converts to native order on a big-endian machine only.
     return ParamVector._adopt(topology, flat.astype(np.float64, copy=False))
 
@@ -103,12 +105,24 @@ def save_model_text(theta: ParamVector, path) -> None:
 
 def load_model_text(path) -> ParamVector:
     with open(path, encoding="utf-8") as handle:
-        header = handle.readline()
-        if not header:
-            raise ValueError(f"{path}: empty model file")
-        try:
+        try:  # a UnicodeDecodeError is a ValueError too
+            header = handle.readline()
+            if not header:
+                raise ValueError("empty model file")
             topology = Topology(tuple(int(s) for s in header.split()))
             flat = np.fromiter((float(v) for v in handle if v.strip()), np.float64)
-            return ParamVector._adopt(topology, flat)
+            theta = ParamVector._adopt(topology, flat)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+    _check_finite(path, flat)
+    return theta
+
+
+def _check_finite(path, flat: np.ndarray) -> None:
+    """Refuse NaN and +-Inf parameters: growing or checking such a model spreads them.
+
+    Block by block, so no mask as long as the vector is allocated."""
+    block = 1 << 16
+    if not all(np.isfinite(flat[i:i + block]).all() for i in range(0, flat.size, block)):
+        index = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise ValueError(f"{path}: parameter {index} is not finite ({float(flat[index])})")

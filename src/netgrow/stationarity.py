@@ -297,6 +297,9 @@ def verify_stationarity_transfer(
     particular) is rejected. A chain is applied spec by spec, in order.
     """
     specs = list(growth) if isinstance(growth, (list, tuple)) else [growth]
+    idle = [growth_label(s) for s in specs if s.count < 1]
+    if idle:  # named as risk_gap_report names a map of no neurons, before the steps' own check
+        raise ValueError(f"{idle[0]} adds no neuron: its count must be >= 1")
     plan = GrowthPlan(tuple(GrowthStep(s.kind, s.layer, s.count) for s in specs))
     bad = [growth_label(s) for s in specs if not _transfer_safe(s)]
     if bad:

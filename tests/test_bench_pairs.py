@@ -145,3 +145,20 @@ def test_the_output_names_the_filesystem_of_each_side(checkouts, capsys, monkeyp
     lines = capsys.readouterr().out.splitlines()
     assert lines[-3:-1] == ["parent reports on an unknown filesystem",
                             "change reports on an unknown filesystem"]
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"wall\x01_s": 1.0}', "Invalid control character"),
+    ('{"attempted": 10, "wall_s": 1.0, "ops_per_s": 10.0, "peak_rss_mb": 40.0, "setup_s": 1.0}',
+     "the report lacks ['failed']"),
+    ('{"attempted": 10, "failed": 0, "wall_s": 1.0, "ops_per_s": 10.0, "peak_rss_mb": 40.0}',
+     "the report lacks ['setup_s']"),
+    ("[]", "the report lacks ['attempted', 'failed', 'wall_s'"),
+], ids=["not-json", "no-failed", "no-metric", "not-an-object"])
+def test_a_bad_report_is_named_and_exits_2(checkouts, capsys, text, problem):
+    parent, change = checkouts
+    report = change / ".perfbench_out" / "certify-seed2-trace0.json"
+    report.write_text(text)
+    assert bench_pairs.main([str(parent), str(change)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}: ") and problem in err

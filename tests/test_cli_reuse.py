@@ -1,5 +1,5 @@
-"""In-process ``main`` calls share one parser: built once, never changed by
-``--config``, and the ``cmd_*`` function that runs is looked up on each call.
+"""In-process ``main`` calls share one parser: built once, ``--config`` calls
+included, and never changed; the ``cmd_*`` function that runs is looked up on each call.
 ``--config`` is found by argparse itself, in either spelling, and never by prefix."""
 
 import json
@@ -49,11 +49,11 @@ def test_calls_without_config_build_the_parser_once(tmp_path, monkeypatch, fresh
         assert cli.main(["profile", "--table", tables[0], "--out", str(tmp_path / f"p{n}")]) == 0
     assert cli.main(["profile", "--out", str(tmp_path / "none")]) == 2
     assert len(built) == 1
-    # A --config call parses with a parser of its own and leaves the shared one in place.
+    # A --config call parses with the shared parser too and builds none of its own.
     config = str(tmp_path / "p0" / "config.json")
     assert cli.main(["--config", config, "profile", "--out", str(tmp_path / "c")]) == 0
     assert cli.main(["profile", "--table", tables[1], "--out", str(tmp_path / "q")]) == 0
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_config_values_do_not_leak_into_later_calls(tmp_path, capsys, fresh_parser, tables):
@@ -100,6 +100,17 @@ def test_config_with_an_equals_sign_is_applied(tmp_path):
     assert load_model(joined / "model.bin").topology.layer_sizes == (1, 3, 1)
     # Both spellings echo the same configuration.
     assert {**_config(joined), "out": None} == {**_config(spaced), "out": None}
+
+
+def test_flags_on_the_command_line_win_in_either_spelling_and_at_their_default(tmp_path):
+    # --hidden=4 is found by the name before "=", and --seed 0 is given although 0 is its default.
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"hidden": 6, "seed": 9}))
+    out = tmp_path / "o"
+    assert cli.main(["--config", str(config), "train", "--data", SYNTH, "--hidden=4",
+                     "--seed", "0", "--maxit", "2", "--out", str(out)]) == 0
+    assert (_config(out)["hidden"], _config(out)["seed"]) == (4, 0)
+    assert load_model(out / "model.bin").topology.layer_sizes == (1, 4, 1)
 
 
 def test_abbreviated_config_flag_exits_2_and_creates_no_out(tmp_path, capsys):

@@ -243,10 +243,9 @@ def test_loss_invariance_refuses_a_map_that_adds_no_neuron(label):
 @pytest.mark.parametrize("label", NO_GROWTH)
 def test_transfer_refuses_a_map_or_chain_that_adds_no_neuron(stationary_point, underfit_problem,
                                                              label):
-    # a map of 0 neurons fails the chain's step check; an empty chain, the risk check
-    growth, message = (([], r"plan\[\] adds no neuron") if label == "plan[]"
-                       else (NO_GROWTH[label], "step count must be >= 1"))
-    with pytest.raises(ValueError, match=message):
+    # named before the chain's step check and the transfer-safety check (inert@1x0 fails both)
+    growth = [] if label == "plan[]" else NO_GROWTH[label]
+    with pytest.raises(ValueError, match=re.escape(f"{label} adds no neuron")):
         verify_stationarity_transfer(stationary_point, underfit_problem, growth)
 
 

@@ -29,7 +29,7 @@ line of the output is the same record as one JSON object, keyed by
 workload, with each metric's paired runs; a ``BENCH_<n>.json`` is built
 from it. Exit codes: 0 when every metric is within its bound and no
 workload fails a larger share of operations on the change, 1 otherwise, 2
-for missing, unreadable or incomplete reports.
+for missing, unreadable or incomplete reports (the error names the file).
 """
 
 from __future__ import annotations
@@ -47,8 +47,10 @@ REPORT = re.compile(r"^(?P<workload>[a-z_]+)-seed(?P<seed>\d+)-trace0\.json$")
 GAIN_SHARE = 0.9  # share of pairs the change must win for a claimed gain
 
 
-def read_reports(checkout: Path) -> dict[str, dict[int, dict]]:
-    """``{workload: {seed: report}}`` for the untraced reports of ``checkout``."""
+def read_reports(checkout: Path, metrics=()) -> dict[str, dict[int, dict]]:
+    """``{workload: {seed: report}}`` for the untraced reports of ``checkout``;
+    a report that is not a JSON object holding ``attempted``, ``failed`` and
+    each of ``metrics`` is a ``ValueError`` that names its file."""
     folder = checkout / ".perfbench_out"
     if not folder.is_dir():
         raise FileNotFoundError(f"no .perfbench_out directory in {checkout}")
@@ -56,7 +58,14 @@ def read_reports(checkout: Path) -> dict[str, dict[int, dict]]:
     for file in sorted(folder.iterdir()):
         match = REPORT.match(file.name)
         if match:
-            report = json.loads(file.read_text(encoding="utf-8"))
+            try:
+                report = json.loads(file.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise ValueError(f"{file}: {exc}") from None
+            missing = [key for key in ("attempted", "failed", *metrics)
+                       if not isinstance(report, dict) or key not in report]
+            if missing:
+                raise ValueError(f"{file}: the report lacks {missing}")
             reports.setdefault(match["workload"], {})[int(match["seed"])] = report
     return reports
 
@@ -181,9 +190,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-        summary = summarize(read_reports(args.parent), read_reports(args.change), spec)
+        metrics = [metric["name"] for metric in spec["end_to_end"]]
+        summary = summarize(read_reports(args.parent, metrics),
+                            read_reports(args.change, metrics), spec)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc!r}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if not any(entry["seeds"] for entry in summary.values()):
         print("error: no seed has a report on both sides", file=sys.stderr)
